@@ -6,7 +6,8 @@
 //! cp tests/specs/smoke.json runs/queue/   # then: watch runs/done/
 //! ```
 //!
-//! Jobs move `queue/<job>.json` → `active/<job>/` → `done/<job>/`; each
+//! Jobs move `queue/<job>.json` → `active/<job>/` → `done/<job>/` (or
+//! `failed/<job>/` with an `error.json`, without stopping the daemon); each
 //! `(policy, repeat)` unit streams `traces/<policy>-r<i>.jsonl` and
 //! checkpoints `state/<policy>-r<i>.ckpt.json` every `--checkpoint-every`
 //! rounds. Killing the daemon at any point is safe: restarting it resumes
@@ -65,9 +66,10 @@ fn main() -> ExitCode {
     match serve(&standard_registry(), &opts) {
         Ok(report) => {
             println!(
-                "spec_serve: drained {} job(s), {} unit(s), under {}",
+                "spec_serve: drained {} job(s), {} unit(s), {} failed job(s), under {}",
                 report.jobs,
                 report.units,
+                report.failed,
                 opts.root.display()
             );
             ExitCode::SUCCESS

@@ -60,7 +60,7 @@ impl Default for AutoFlConfig {
 }
 
 /// What the agent committed to in one dispatched round, pending its
-/// reward. Under the lockstep engine at most one round is ever pending;
+/// reward. With one cohort in flight at most one round is ever pending;
 /// the event-driven runtime (`autofl_fed::runtime`) can hold several
 /// cohorts in flight and deliver their feedback out of dispatch order,
 /// so pending rounds are keyed by round index.

@@ -570,18 +570,19 @@ impl SimBuilder {
         self
     }
 
-    /// Routes the simulation through the event-driven scheduler
-    /// ([`crate::runtime`]) with the given runtime block.
-    /// [`AsyncRuntime::barrier`] reproduces the lockstep engine bit for
-    /// bit; [`AsyncRuntime::buffered`] enables FedBuff-style
-    /// staleness-weighted aggregation.
+    /// Sets the aggregation schedule of the event-driven round driver
+    /// ([`crate::runtime`]). [`AsyncRuntime::barrier`] is the default
+    /// synchronous schedule; [`AsyncRuntime::buffered`] enables
+    /// FedBuff-style staleness-weighted aggregation.
     #[must_use]
     pub fn runtime(mut self, runtime: AsyncRuntime) -> Self {
         self.config.runtime = Some(runtime);
         self
     }
 
-    /// Restores the classic lockstep round loop (the default).
+    /// Restores the default runtime block, `None` — which *is*
+    /// [`AsyncRuntime::barrier`]: synchronous rounds, one cohort in
+    /// flight.
     #[must_use]
     pub fn lockstep(mut self) -> Self {
         self.config.runtime = None;

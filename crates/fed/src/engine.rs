@@ -60,11 +60,11 @@ pub struct SimConfig {
     /// dropout and the straggler policy). `None` — the default — keeps
     /// the fleet static and reproduces pre-dynamics runs bit for bit.
     pub fleet: Option<FleetDynamics>,
-    /// Event-driven asynchronous aggregation
-    /// ([`crate::runtime::AsyncRuntime`]). `None` — the default — runs
-    /// the classic lockstep round loop; `Some(AsyncRuntime::barrier())`
-    /// routes through the discrete-event scheduler and reproduces the
-    /// lockstep engine bit for bit (see `docs/async-runtime.md`).
+    /// Aggregation schedule of the event-driven round driver
+    /// ([`crate::runtime::AsyncRuntime`]). `None` — the default — *is*
+    /// [`AsyncRuntime::barrier`](crate::runtime::AsyncRuntime::barrier):
+    /// synchronous rounds, one cohort in flight, bit-identical to
+    /// `Some(AsyncRuntime::barrier())` (see `docs/async-runtime.md`).
     /// Deserializes to `None` when absent from serialized specs, so
     /// pre-runtime spec files keep loading.
     pub runtime: Option<crate::runtime::AsyncRuntime>,
@@ -217,19 +217,17 @@ pub struct RoundRecord {
     /// Devices that failed the eligibility check-in before selection.
     pub ineligible: usize,
     /// Logical time at which this round's cohort was dispatched, in
-    /// simulated seconds since the start of the run. Under the lockstep
-    /// loop this is the cumulative duration of all earlier rounds; under
-    /// the event-driven runtime it is the scheduler clock at dispatch.
+    /// simulated seconds since the start of the run. With one cohort in
+    /// flight this is the cumulative duration of all earlier rounds.
     pub dispatch_time_s: f64,
     /// Logical time at which this round's cohort completed (its record
     /// was emitted): `dispatch_time_s + round_time_s`. Monotone across
-    /// rounds under the lockstep loop; under the event-driven runtime
-    /// with concurrent cohorts, completion order may differ from
-    /// dispatch order.
+    /// rounds with one cohort in flight; with concurrent cohorts,
+    /// completion order may differ from dispatch order.
     pub logical_time_s: f64,
     /// Mean staleness (in aggregation versions) of this cohort's updates
-    /// at the moment they were aggregated. Always 0 under the lockstep
-    /// loop and the full-barrier runtime with one cohort in flight.
+    /// at the moment they were aggregated. Always 0 under the full
+    /// barrier with one cohort in flight.
     pub mean_staleness: f64,
     /// Network-fabric accounting (bytes, drops, partitions). `Some` iff
     /// [`SimConfig::network`] is attached.
@@ -472,12 +470,14 @@ struct RoundScratch {
 }
 
 /// Everything a dispatched cohort carries between check-in/execution
-/// ([`Simulation::dispatch_round`]) and the aggregation + lifecycle +
-/// feedback steps that complete it. The lockstep loop completes a cohort
-/// immediately; the event-driven runtime ([`crate::runtime`]) holds the
-/// outcome in flight until its scheduled upload/completion events fire.
-/// Serializable so a checkpoint ([`crate::serve`]) can capture cohorts
-/// that are in flight when the process dies.
+/// ([`Simulation::dispatch_round`]) and the aggregation
+/// ([`Simulation::aggregate_update`]) and completion
+/// ([`Simulation::complete_round`]) that close it out. A single
+/// [`Simulation::run_round`] completes the cohort immediately; the
+/// event-driven runtime ([`crate::runtime`]) holds the outcome in flight
+/// until its scheduled upload/completion events fire. Serializable so a
+/// checkpoint ([`crate::serve`]) can capture cohorts that are in flight
+/// when the process dies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct DispatchOutcome {
     /// Devices excluded from this round's pool by fleet dynamics.
@@ -516,6 +516,19 @@ pub(crate) struct DispatchOutcome {
     pub flagged: Option<usize>,
 }
 
+impl DispatchOutcome {
+    /// The participants whose update survived (positive fraction), as
+    /// `(slot, device, raw fraction)` in participant order.
+    pub(crate) fn survivors(&self) -> impl Iterator<Item = (usize, DeviceId, f64)> + '_ {
+        self.participants
+            .iter()
+            .zip(&self.fractions)
+            .enumerate()
+            .filter(|(_, (_, &f))| f > 0.0)
+            .map(|(slot, (&id, &f))| (slot, id, f))
+    }
+}
+
 /// The simulation: owns the fleet, the data, the accuracy engine and the
 /// per-round stochastic state.
 pub struct Simulation {
@@ -527,10 +540,10 @@ pub struct Simulation {
     scratch: RoundScratch,
     /// Per-device lifecycle state; `Some` iff `config.fleet` is enabled.
     fleet_state: Option<FleetStore>,
-    /// Logical clock in simulated seconds: the cumulative duration of
-    /// every completed round (the lockstep counterpart of the event
-    /// scheduler's clock).
-    clock_s: f64,
+    /// Logical clock in simulated seconds: the time of the last
+    /// completed round (or, inside the event scheduler, of the last
+    /// fired event). Cohorts dispatch at this time.
+    pub(crate) clock_s: f64,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -713,41 +726,51 @@ impl Simulation {
         round: usize,
         shadow: Option<&mut dyn Selector>,
     ) -> (RoundRecord, Option<SelectionDecision>) {
+        let dispatch_time_s = self.clock_s;
         let (outcome, shadow_decision) = self.dispatch_round(selector, round, shadow);
-        let idle_energy = self.idle_energy_for(&outcome.participants, outcome.round_time_s);
-
-        // Aggregate: update global accuracy from the surviving cohort
-        // (every update at staleness 0 — the lockstep loop aggregates a
-        // round the instant it completes).
-        let survivors: Vec<DeviceId> = outcome
-            .participants
-            .iter()
-            .zip(&outcome.fractions)
-            .filter(|(_, &f)| f > 0.0)
-            .map(|(id, _)| *id)
-            .collect();
+        // Aggregate the surviving cohort, every update at staleness 0.
         // The codec's surrogate fidelity scales the surviving update
         // fractions at the aggregation input (and only there — records
         // report raw fractions): a lossy uplink contributes a slightly
         // weaker update. Exactly 1.0 without a fabric, so the multiply is
         // a bit-exact pass-through.
-        let survivor_fractions: Vec<f64> = outcome
-            .fractions
-            .iter()
-            .copied()
-            .filter(|&f| f > 0.0)
-            .map(|f| f * outcome.codec_fidelity)
-            .collect();
-        let accuracy = self.aggregate_update(survivors, survivor_fractions);
+        let (survivors, fractions) = outcome
+            .survivors()
+            .map(|(_, id, f)| (id, f * outcome.codec_fidelity))
+            .unzip();
+        let accuracy = self.aggregate_update(survivors, fractions);
+        self.clock_s = dispatch_time_s + outcome.round_time_s;
+        let record = self.complete_round(selector, round, outcome, accuracy, dispatch_time_s, 0.0);
+        (record, shadow_decision)
+    }
 
-        self.end_round_lifecycle(
-            outcome.round_time_s,
-            &outcome.participants,
-            &outcome.completion,
-            &outcome.per_participant_energy,
-        );
-
-        // Feed the outcome back to learning selectors.
+    /// Completes an aggregated cohort: charges the idle fleet for the
+    /// round, advances the lifecycle states with what the round cost
+    /// each device (battery drain, heating, cooling), feeds the outcome
+    /// back to `selector` and builds the round's record, stamped complete
+    /// at the current logical clock. The one completion path behind both
+    /// [`Simulation::run_round_shadowed`] and the event scheduler's
+    /// cohort-completion event.
+    pub(crate) fn complete_round(
+        &mut self,
+        selector: &mut dyn Selector,
+        round: usize,
+        outcome: DispatchOutcome,
+        accuracy: f64,
+        dispatch_time_s: f64,
+        mean_staleness: f64,
+    ) -> RoundRecord {
+        let idle_energy = self.idle_energy_for(&outcome.participants, outcome.round_time_s);
+        if let (Some(dynamics), Some(state)) = (&self.config.fleet, &mut self.fleet_state) {
+            state.end_round(
+                dynamics,
+                &self.fleet,
+                outcome.round_time_s,
+                &outcome.participants,
+                &outcome.completion,
+                &outcome.per_participant_energy,
+            );
+        }
         let idle_per_device = if self.fleet.len() > outcome.participants.len() {
             idle_energy / (self.fleet.len() - outcome.participants.len()) as f64
         } else {
@@ -764,14 +787,10 @@ impl Simulation {
             prev_accuracy: outcome.prev_accuracy,
             dropped: &outcome.dropped,
             dropouts: &outcome.dropouts,
-            mean_staleness: 0.0,
+            mean_staleness,
             bytes_uplinked: outcome.net.map_or(0, |n| n.bytes_uplinked),
         });
-
-        let dispatch_time_s = self.clock_s;
-        let logical_time_s = dispatch_time_s + outcome.round_time_s;
-        self.clock_s = logical_time_s;
-        let record = RoundRecord {
+        RoundRecord {
             round,
             participants: outcome.participants,
             plans: outcome.plans,
@@ -784,21 +803,21 @@ impl Simulation {
             dropouts: outcome.dropouts,
             ineligible: outcome.ineligible,
             dispatch_time_s,
-            logical_time_s,
-            mean_staleness: 0.0,
+            logical_time_s: self.clock_s,
+            mean_staleness,
             net: outcome.net,
             adversarial: outcome.adversarial,
             flagged: outcome.flagged,
-        };
-        (record, shadow_decision)
+        }
     }
 
     /// Check-in, selection and execution of one cohort — everything up to
     /// (but not including) aggregation, lifecycle advancement and
-    /// feedback, which the lockstep loop performs immediately and the
-    /// event-driven runtime (`crate::runtime`) defers to scheduled
-    /// events. Both drivers call this in strictly increasing dispatch
-    /// order, so the sequential engine RNG consumes draws identically.
+    /// feedback, which [`Simulation::run_round_shadowed`] performs
+    /// immediately and the event-driven runtime (`crate::runtime`)
+    /// defers to scheduled events. Both call this in strictly increasing
+    /// dispatch order, so the sequential engine RNG consumes draws
+    /// identically.
     pub(crate) fn dispatch_round(
         &mut self,
         selector: &mut dyn Selector,
@@ -938,10 +957,14 @@ impl Simulation {
             prev_accuracy,
         };
         let SelectionDecision {
-            participants,
+            mut participants,
             plans,
         } = selector.select(&ctx, &mut self.rng);
         assert_eq!(participants.len(), plans.len(), "selector plan mismatch");
+        // Selectors may truncate a fleet-sized candidate list to K; the
+        // cohort outlives the round in its record, so drop the excess
+        // capacity instead of keeping a fleet-sized buffer per record.
+        participants.shrink_to_fit();
         // Per-participant adversary roles — a pure function of
         // `(seed, device)`, so any thread or shard count computes the
         // same assignment. Empty (and never read) without an adversary.
@@ -1241,8 +1264,9 @@ impl Simulation {
     /// `survivors` with their (possibly staleness-discounted) update
     /// fractions, in `(round, participant-slot)` order — into the global
     /// model and returns the new test accuracy. Called exactly once per
-    /// lockstep round; the event-driven runtime calls it once per buffer
-    /// flush, with updates that may span several dispatched cohorts.
+    /// round under a barrier; buffered aggregation calls it once per
+    /// buffer flush, with updates that may span several dispatched
+    /// cohorts.
     pub(crate) fn aggregate_update(
         &mut self,
         survivors: Vec<DeviceId>,
@@ -1335,30 +1359,6 @@ impl Simulation {
         self.engine.apply_round(&stats)
     }
 
-    /// Advances the lifecycle states with what the cohort's round
-    /// actually cost each device (battery drain, heating, cooling).
-    /// Non-members idle-cool over `round_time_s` seconds. The lockstep
-    /// loop calls this once per round; the event runtime calls it at the
-    /// cohort's completion event.
-    pub(crate) fn end_round_lifecycle(
-        &mut self,
-        round_time_s: f64,
-        participants: &[DeviceId],
-        completion: &[f64],
-        per_participant_energy: &[f64],
-    ) {
-        if let (Some(dynamics), Some(state)) = (&self.config.fleet, &mut self.fleet_state) {
-            state.end_round(
-                dynamics,
-                &self.fleet,
-                round_time_s,
-                participants,
-                completion,
-                per_participant_energy,
-            );
-        }
-    }
-
     /// Runs until the target accuracy is reached (plus nothing) or
     /// `max_rounds`, whichever comes first, and returns the result.
     pub fn run(&mut self, selector: &mut dyn Selector) -> SimResult {
@@ -1392,33 +1392,9 @@ impl Simulation {
         policy: String,
         observers: &mut [&mut dyn crate::observe::RoundObserver],
     ) -> std::io::Result<SimResult> {
-        if self.config.runtime.is_some() {
-            // Event-driven scheduling on logical time; the full-barrier
-            // special case reproduces this lockstep loop bit for bit
-            // (pinned in tests/async_runtime.rs).
-            return crate::runtime::run_event_driven(self, selector, policy, observers);
-        }
-        let target = self.config.target();
-        let mut records = Vec::new();
-        for round in 0..self.config.max_rounds {
-            for obs in observers.iter_mut() {
-                obs.on_round_start(round)?;
-            }
-            let record = self.run_round(selector, round);
-            for obs in observers.iter_mut() {
-                obs.on_round_end(&record)?;
-            }
-            let reached = record.accuracy >= target;
-            records.push(record);
-            if reached {
-                break;
-            }
-        }
-        let result = SimResult {
-            policy,
-            target_accuracy: target,
-            records,
-        };
+        let mut run = crate::runtime::EventDrivenRun::new(self);
+        while run.step(self, selector, observers)?.is_some() {}
+        let result = run.into_result(policy);
         if result.converged() {
             for obs in observers.iter_mut() {
                 obs.on_converged(&result)?;

@@ -28,9 +28,9 @@
 //!   accounting, producing [`engine::SimResult`]s whose `ppw_*` ratios are
 //!   the paper's reported numbers.
 //! * [`runtime`] — the deterministic discrete-event scheduler on logical
-//!   time: FedBuff-style buffered aggregation with staleness-weighted
-//!   updates ([`runtime::AsyncRuntime`]), whose full-barrier special case
-//!   reproduces the lockstep engine bit for bit.
+//!   time that drives every multi-round run: synchronous rounds by
+//!   default, or FedBuff-style buffered aggregation with
+//!   staleness-weighted updates ([`runtime::AsyncRuntime`]).
 //! * [`fabric`] — the opt-in network fabric between dispatch and
 //!   aggregation: per-device link latency/loss on tagged RNG streams,
 //!   scripted [`fabric::PartitionSchedule`]s, and communication-efficient

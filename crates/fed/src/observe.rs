@@ -61,8 +61,8 @@ pub trait RoundObserver {
 /// `participants,dropped,dropouts,ineligible,logical_time_s,`
 /// `mean_staleness` — the id lists are space-separated so the file stays
 /// quote-free. The last two columns carry the event runtime's logical
-/// clock and staleness (see `docs/async-runtime.md`); under the lockstep
-/// engine they are the cumulative round time and 0.
+/// clock and staleness (see `docs/async-runtime.md`); under the default
+/// barrier they are the cumulative round time and 0.
 pub struct CsvSink<W: Write> {
     out: W,
     wrote_header: bool,

@@ -1,23 +1,23 @@
-//! Deterministic discrete-event runtime on logical time.
+//! Deterministic discrete-event runtime on logical time — the one
+//! multi-round driver.
 //!
-//! The lockstep engine ([`crate::engine`]) advances one full barrier per
-//! round: every participant's upload lands at once, and aggregation,
-//! lifecycle advancement and feedback happen immediately. This module
-//! replays the same per-cohort work as *timestamped events* on a logical
-//! clock — device check-in/training/upload durations come from the
-//! existing per-device cost model — so the server can aggregate
+//! Every run replays its cohorts as *timestamped events* on a logical
+//! clock: device check-in/training/upload durations come from the
+//! per-device cost model, and a cohort's completion event aggregates it,
+//! advances lifecycles and feeds it back. The server may aggregate
 //! asynchronously, FedBuff-style: updates accumulate in a buffer of size
 //! `M` and each is discounted by its staleness (the number of global
 //! aggregation steps that happened since its cohort was dispatched) with
 //! weight `1 / (1 + staleness)^a`.
 //!
-//! Two contracts make this safe to adopt incrementally:
+//! Two contracts make this safe:
 //!
 //! 1. **Barrier equivalence.** [`AsyncRuntime::barrier`] (buffer = whole
-//!    cohort, staleness exponent 0, one cohort in flight) reproduces the
-//!    lockstep engine *bit for bit* — same selections, plans, energies,
-//!    accuracies and logical times — pinned for every registered policy
-//!    in `tests/async_runtime.rs`.
+//!    cohort, staleness exponent 0, one cohort in flight) — also what
+//!    `SimConfig::runtime = None` runs — reproduces a hand-stepped loop
+//!    of [`Simulation::run_round`] *bit for bit*: same selections, plans,
+//!    energies, accuracies and logical times, pinned for every
+//!    registered policy in `tests/async_runtime.rs`.
 //! 2. **Determinism.** The event loop runs in-process on a
 //!    [`std::collections::BinaryHeap`] ordered by `(time, sequence)`;
 //!    all stochastic inputs flow through the engine's existing seeded
@@ -26,7 +26,7 @@
 
 use crate::engine::{DispatchOutcome, RoundRecord, SimResult, Simulation};
 use crate::observe::RoundObserver;
-use crate::selection::{RoundFeedback, Selector};
+use crate::selection::Selector;
 use autofl_device::fleet::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -36,14 +36,14 @@ use std::collections::{BTreeMap, BinaryHeap};
 ///
 /// Attach one to a simulation with
 /// [`crate::builder::SimBuilder::runtime`] (or by setting
-/// [`crate::engine::SimConfig::runtime`] on a profile); `None` keeps the
-/// classic lockstep loop.
+/// [`crate::engine::SimConfig::runtime`] on a profile); `None` runs
+/// [`AsyncRuntime::barrier`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AsyncRuntime {
     /// Server aggregation buffer size `M`: the global model folds in
     /// buffered updates as soon as `M` have arrived. `None` is the full
     /// barrier — each cohort aggregates exactly when its slowest
-    /// surviving member finishes, reproducing lockstep FedAvg.
+    /// surviving member finishes: synchronous FedAvg.
     pub buffer_size: Option<usize>,
     /// Staleness-discount exponent `a` in `1 / (1 + staleness)^a`.
     /// `0.0` weights every update fully regardless of staleness.
@@ -57,7 +57,8 @@ pub struct AsyncRuntime {
 impl AsyncRuntime {
     /// The full-barrier special case: aggregate each cohort exactly at
     /// its completion event, no staleness discount, one cohort in
-    /// flight. Bit-identical to the lockstep engine.
+    /// flight. What `SimConfig::runtime = None` runs, and bit-identical
+    /// to stepping [`Simulation::run_round`] by hand.
     pub fn barrier() -> Self {
         AsyncRuntime {
             buffer_size: None,
@@ -164,8 +165,13 @@ struct BufferedUpdate {
     fraction: f64,
 }
 
-/// The scheduler state threaded through the event loop.
-struct EventLoop {
+/// The multi-round driver: a resumable discrete-event scheduler that can
+/// stop after any emitted record, serialize itself into a checkpoint
+/// ([`crate::serve`]), and continue — on this process or a later one —
+/// bit-identically to a run that never stopped. [`Simulation::run`] and
+/// [`crate::serve::ExperimentRun`] both drive runs through it; with
+/// `config.runtime = None` it runs the full barrier.
+pub(crate) struct EventDrivenRun {
     rt: AsyncRuntime,
     heap: BinaryHeap<Reverse<Event>>,
     seq: u64,
@@ -173,42 +179,67 @@ struct EventLoop {
     buffer: Vec<BufferedUpdate>,
     /// Global aggregation version: the number of flushes applied so far.
     version: u64,
+    target: f64,
+    max_rounds: usize,
+    /// Completed records in *emission* order (completion order, not round
+    /// order): the order round traces stream in, and therefore the order
+    /// a checkpoint must replay them in.
+    records: Vec<RoundRecord>,
+    next_round: usize,
+    dispatching: bool,
 }
 
-impl EventLoop {
+impl EventDrivenRun {
+    /// An empty scheduler for `sim`: nothing dispatched yet, so the first
+    /// [`EventDrivenRun::step`] starts a fresh run, while
+    /// [`EventDrivenRun::state_restore`] continues a checkpointed one.
+    pub(crate) fn new(sim: &Simulation) -> Self {
+        EventDrivenRun {
+            rt: sim.config().runtime.unwrap_or_else(AsyncRuntime::barrier),
+            heap: BinaryHeap::new(),
+            seq: 0,
+            in_flight: BTreeMap::new(),
+            buffer: Vec::new(),
+            version: 0,
+            target: sim.config().target(),
+            max_rounds: sim.config().max_rounds,
+            records: Vec::new(),
+            next_round: 0,
+            dispatching: true,
+        }
+    }
+
     fn schedule(&mut self, time: f64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Event { time, seq, kind }));
     }
 
-    /// Dispatches cohort `round` at logical time `at`: check-in,
-    /// selection and execution run immediately (consuming the engine's
-    /// sequential RNG in dispatch order); upload/completion land on the
-    /// heap at their cost-model times.
+    /// Dispatches cohort `round` at the simulation's logical clock:
+    /// check-in, selection and execution run immediately (consuming the
+    /// engine's sequential RNG in dispatch order); upload/completion land
+    /// on the heap at their cost-model times.
     fn dispatch(
         &mut self,
         sim: &mut Simulation,
         selector: &mut dyn Selector,
         observers: &mut [&mut dyn RoundObserver],
         round: usize,
-        at: f64,
     ) -> std::io::Result<()> {
         for obs in observers.iter_mut() {
             obs.on_round_start(round)?;
         }
+        let at = sim.clock_s;
         let (outcome, _) = sim.dispatch_round(selector, round, None);
         if self.rt.buffer_size.is_some() {
             // Uploads are scheduled before the cohort's completion so
             // an upload tied with CohortDone at the same instant (the
             // slowest survivor's own update) is buffered first.
-            for slot in 0..outcome.participants.len() {
-                if outcome.fractions[slot] > 0.0 {
-                    self.schedule(
-                        at + outcome.completion[slot],
-                        EventKind::Upload { round, slot },
-                    );
-                }
+            for (slot, _, _) in outcome.survivors() {
+                self.schedule(
+                    at + outcome.completion[slot],
+                    EventKind::Upload { round, slot },
+                );
             }
         }
         self.schedule(at + outcome.round_time_s, EventKind::CohortDone { round });
@@ -230,9 +261,8 @@ impl EventLoop {
     /// — dispatch order, never arrival order — so aggregation is
     /// independent of how uploads interleaved on the clock. Always
     /// aggregates, even with zero entries: the surrogate engine draws
-    /// from its RNG once per aggregation step (exactly as the lockstep
-    /// loop does for a fully-dropped round), and the barrier contract
-    /// needs that draw count preserved.
+    /// from its RNG once per aggregation step, including a fully-dropped
+    /// round's.
     fn flush(&mut self, sim: &mut Simulation, mut entries: Vec<BufferedUpdate>) -> f64 {
         entries.sort_by_key(|e| (e.round, e.slot));
         let mut ids = Vec::with_capacity(entries.len());
@@ -261,101 +291,48 @@ impl EventLoop {
         self.version += 1;
         accuracy
     }
-}
-
-/// A resumable event-driven run: the scheduler state of
-/// [`run_event_driven`] lifted into a struct that can stop after any
-/// emitted record, serialize itself into a checkpoint
-/// ([`crate::serve`]), and continue — on this process or a later one —
-/// bit-identically to a run that never stopped.
-pub(crate) struct EventDrivenRun {
-    ev: EventLoop,
-    target: f64,
-    max_rounds: usize,
-    barrier: bool,
-    /// Completed records in *emission* order (completion order, not round
-    /// order): the order round traces stream in, and therefore the order
-    /// a checkpoint must replay them in.
-    records: Vec<RoundRecord>,
-    next_round: usize,
-    dispatching: bool,
-}
-
-impl EventDrivenRun {
-    /// An empty scheduler for `sim` (nothing dispatched yet). Call
-    /// [`EventDrivenRun::prime`] to start a fresh run, or
-    /// [`EventDrivenRun::state_restore`] to continue a checkpointed one.
-    pub(crate) fn new(sim: &Simulation) -> Self {
-        let rt = sim
-            .config()
-            .runtime
-            .expect("EventDrivenRun requires config.runtime");
-        EventDrivenRun {
-            ev: EventLoop {
-                rt,
-                heap: BinaryHeap::new(),
-                seq: 0,
-                in_flight: BTreeMap::new(),
-                buffer: Vec::new(),
-                version: 0,
-            },
-            target: sim.config().target(),
-            max_rounds: sim.config().max_rounds,
-            barrier: rt.buffer_size.is_none(),
-            records: Vec::new(),
-            next_round: 0,
-            dispatching: true,
-        }
-    }
-
-    /// Primes the pipeline: `concurrent_cohorts` cohorts dispatched at
-    /// t = 0 in round order.
-    pub(crate) fn prime(
-        &mut self,
-        sim: &mut Simulation,
-        selector: &mut dyn Selector,
-        observers: &mut [&mut dyn RoundObserver],
-    ) -> std::io::Result<()> {
-        let initial = self.ev.rt.concurrent_cohorts.max(1).min(self.max_rounds);
-        for _ in 0..initial {
-            self.ev
-                .dispatch(sim, selector, observers, self.next_round, 0.0)?;
-            self.next_round += 1;
-        }
-        Ok(())
-    }
 
     /// Records emitted so far, in emission order.
     pub(crate) fn records(&self) -> &[RoundRecord] {
         &self.records
     }
 
-    /// Fires events until the next cohort completes and returns its
-    /// record (also appended to [`EventDrivenRun::records`]), or `None`
-    /// when the run has drained. The state between two `step` calls is
-    /// exactly what [`EventDrivenRun::state_snapshot`] captures.
+    /// Tops the pipeline up to `concurrent_cohorts` cohorts at the
+    /// current clock, then fires events until the next cohort completes
+    /// and returns its record (also appended to
+    /// [`EventDrivenRun::records`]), or `None` once the run has drained.
+    /// Dispatching lazily, at the start of a step rather than the end of
+    /// the previous one, lets a caller retune the parameters between two
+    /// steps and have the retune reach the very next cohort. The state
+    /// between two `step` calls is exactly what
+    /// [`EventDrivenRun::state_snapshot`] captures.
     pub(crate) fn step(
         &mut self,
         sim: &mut Simulation,
         selector: &mut dyn Selector,
         observers: &mut [&mut dyn RoundObserver],
-    ) -> std::io::Result<Option<RoundRecord>> {
-        while let Some(Reverse(event)) = self.ev.heap.pop() {
-            let now = event.time;
+    ) -> std::io::Result<Option<&RoundRecord>> {
+        while self.dispatching
+            && self.next_round < self.max_rounds
+            && self.in_flight.len() < self.rt.concurrent_cohorts.max(1)
+        {
+            self.dispatch(sim, selector, observers, self.next_round)?;
+            self.next_round += 1;
+        }
+        while let Some(Reverse(event)) = self.heap.pop() {
+            sim.clock_s = event.time;
             match event.kind {
                 EventKind::Upload { round, slot } => {
-                    let fl = &self.ev.in_flight[&round];
-                    self.ev.buffer.push(BufferedUpdate {
+                    let outcome = &self.in_flight[&round].outcome;
+                    self.buffer.push(BufferedUpdate {
                         round,
                         slot,
-                        id: fl.outcome.participants[slot],
-                        fraction: fl.outcome.fractions[slot],
+                        id: outcome.participants[slot],
+                        fraction: outcome.fractions[slot],
                     });
-                    if let Some(m) = self.ev.rt.buffer_size {
-                        if self.ev.buffer.len() >= m {
-                            let entries = std::mem::take(&mut self.ev.buffer);
-                            self.ev.flush(sim, entries);
-                        }
+                    if self.rt.buffer_size.is_some_and(|m| self.buffer.len() >= m) {
+                        let entries = std::mem::take(&mut self.buffer);
+                        self.flush(sim, entries);
                     }
                 }
                 EventKind::CohortDone { round } => {
@@ -363,81 +340,38 @@ impl EventDrivenRun {
                     // survivors under a barrier; everything still buffered
                     // (this cohort's tail plus any other cohort's early
                     // uploads) under buffered aggregation.
-                    let entries: Vec<BufferedUpdate> = if self.barrier {
-                        let fl = &self.ev.in_flight[&round];
-                        fl.outcome
-                            .participants
-                            .iter()
-                            .enumerate()
-                            .filter(|(slot, _)| fl.outcome.fractions[*slot] > 0.0)
-                            .map(|(slot, &id)| BufferedUpdate {
+                    let entries: Vec<BufferedUpdate> = if self.rt.buffer_size.is_none() {
+                        self.in_flight[&round]
+                            .outcome
+                            .survivors()
+                            .map(|(slot, id, fraction)| BufferedUpdate {
                                 round,
                                 slot,
                                 id,
-                                fraction: fl.outcome.fractions[slot],
+                                fraction,
                             })
                             .collect()
                     } else {
-                        std::mem::take(&mut self.ev.buffer)
+                        std::mem::take(&mut self.buffer)
                     };
-                    let accuracy = self.ev.flush(sim, entries);
+                    let accuracy = self.flush(sim, entries);
                     let fl = self
-                        .ev
                         .in_flight
                         .remove(&round)
                         .expect("completed cohort not in flight");
-                    let outcome = fl.outcome;
-                    let idle_energy =
-                        sim.idle_energy_for(&outcome.participants, outcome.round_time_s);
-                    sim.end_round_lifecycle(
-                        outcome.round_time_s,
-                        &outcome.participants,
-                        &outcome.completion,
-                        &outcome.per_participant_energy,
-                    );
                     let mean_staleness = if fl.aggregated > 0 {
                         fl.staleness_sum / fl.aggregated as f64
                     } else {
                         0.0
                     };
-                    let idle_per_device = if sim.fleet().len() > outcome.participants.len() {
-                        idle_energy / (sim.fleet().len() - outcome.participants.len()) as f64
-                    } else {
-                        0.0
-                    };
-                    selector.observe(&RoundFeedback {
+                    let record = sim.complete_round(
+                        selector,
                         round,
-                        participants: &outcome.participants,
-                        per_participant_energy_j: &outcome.per_participant_energy,
-                        idle_energy_per_device_j: idle_per_device,
-                        global_energy_j: outcome.active_energy_j + idle_energy,
-                        round_time_s: outcome.round_time_s,
+                        fl.outcome,
                         accuracy,
-                        prev_accuracy: outcome.prev_accuracy,
-                        dropped: &outcome.dropped,
-                        dropouts: &outcome.dropouts,
+                        fl.dispatch_time_s,
                         mean_staleness,
-                        bytes_uplinked: outcome.net.map_or(0, |n| n.bytes_uplinked),
-                    });
-                    let record = RoundRecord {
-                        round,
-                        participants: outcome.participants,
-                        plans: outcome.plans,
-                        round_time_s: outcome.round_time_s,
-                        active_energy_j: outcome.active_energy_j,
-                        idle_energy_j: idle_energy,
-                        accuracy,
-                        dropped: outcome.dropped,
-                        update_fractions: outcome.fractions,
-                        dropouts: outcome.dropouts,
-                        ineligible: outcome.ineligible,
-                        dispatch_time_s: fl.dispatch_time_s,
-                        logical_time_s: now,
-                        mean_staleness,
-                        net: outcome.net,
-                        adversarial: outcome.adversarial,
-                        flagged: outcome.flagged,
-                    };
+                    );
                     for obs in observers.iter_mut() {
                         obs.on_round_end(&record)?;
                     }
@@ -447,13 +381,8 @@ impl EventDrivenRun {
                         // is lost.
                         self.dispatching = false;
                     }
-                    self.records.push(record.clone());
-                    if self.dispatching && self.next_round < self.max_rounds {
-                        self.ev
-                            .dispatch(sim, selector, observers, self.next_round, now)?;
-                        self.next_round += 1;
-                    }
-                    return Ok(Some(record));
+                    self.records.push(record);
+                    return Ok(self.records.last());
                 }
             }
         }
@@ -479,12 +408,12 @@ impl EventDrivenRun {
     /// order, in-flight cohorts (with their execution outcomes), the
     /// aggregation buffer and version, the dispatch cursor, and every
     /// record emitted so far (in emission order, so a resumed trace
-    /// replays byte-identically).
+    /// replays byte-identically). The logical clock lives in the
+    /// simulation's own snapshot.
     pub(crate) fn state_snapshot(&self) -> serde::Value {
-        let mut events: Vec<&Event> = self.ev.heap.iter().map(|Reverse(e)| e).collect();
-        events.sort_by(|a, b| a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
+        let mut events: Vec<&Event> = self.heap.iter().map(|Reverse(e)| e).collect();
+        events.sort();
         let in_flight: Vec<serde::Value> = self
-            .ev
             .in_flight
             .iter()
             .map(|(round, fl)| {
@@ -495,11 +424,11 @@ impl EventDrivenRun {
             })
             .collect();
         serde::Value::Map(vec![
-            ("seq".to_string(), self.ev.seq.to_value()),
-            ("version".to_string(), self.ev.version.to_value()),
+            ("seq".to_string(), self.seq.to_value()),
+            ("version".to_string(), self.version.to_value()),
             ("events".to_string(), events.to_value()),
             ("in_flight".to_string(), serde::Value::Seq(in_flight)),
-            ("buffer".to_string(), self.ev.buffer.to_value()),
+            ("buffer".to_string(), self.buffer.to_value()),
             ("records".to_string(), self.records.to_value()),
             ("next_round".to_string(), self.next_round.to_value()),
             ("dispatching".to_string(), self.dispatching.to_value()),
@@ -508,18 +437,16 @@ impl EventDrivenRun {
 
     /// Restores the state captured by
     /// [`EventDrivenRun::state_snapshot`] onto a fresh
-    /// [`EventDrivenRun::new`] for the same config. Do *not* call
-    /// [`EventDrivenRun::prime`] afterwards: the snapshot's cohorts are
-    /// already dispatched.
+    /// [`EventDrivenRun::new`] for the same config.
     pub(crate) fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
             T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
         }
-        self.ev.seq = field(value, "seq")?;
-        self.ev.version = field(value, "version")?;
+        self.seq = field(value, "seq")?;
+        self.version = field(value, "version")?;
         let events: Vec<Event> = field(value, "events")?;
-        self.ev.heap = events.into_iter().map(Reverse).collect();
-        self.ev.in_flight = match serde::field_or_null(value, "in_flight") {
+        self.heap = events.into_iter().map(Reverse).collect();
+        self.in_flight = match serde::field_or_null(value, "in_flight") {
             serde::Value::Seq(items) => items
                 .iter()
                 .map(|item| {
@@ -532,33 +459,12 @@ impl EventDrivenRun {
                 .map_err(|e| e.at("in_flight"))?,
             other => return Err(serde::Error::invalid_type("sequence", other).at("in_flight")),
         };
-        self.ev.buffer = field(value, "buffer")?;
+        self.buffer = field(value, "buffer")?;
         self.records = field(value, "records")?;
         self.next_round = field(value, "next_round")?;
         self.dispatching = field(value, "dispatching")?;
         Ok(())
     }
-}
-
-/// Runs `sim` to convergence (or `max_rounds` dispatches) through the
-/// event-driven scheduler. Called by [`Simulation::run`] and friends when
-/// [`crate::engine::SimConfig::runtime`] is set.
-pub(crate) fn run_event_driven(
-    sim: &mut Simulation,
-    selector: &mut dyn Selector,
-    policy: String,
-    observers: &mut [&mut dyn RoundObserver],
-) -> std::io::Result<SimResult> {
-    let mut run = EventDrivenRun::new(sim);
-    run.prime(sim, selector, observers)?;
-    while run.step(sim, selector, observers)?.is_some() {}
-    let result = run.into_result(policy);
-    if result.converged() {
-        for obs in observers.iter_mut() {
-            obs.on_converged(&result)?;
-        }
-    }
-    Ok(result)
 }
 
 #[cfg(test)]

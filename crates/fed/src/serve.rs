@@ -29,6 +29,7 @@
 //! root/active/<job>/traces/<policy>-r<i>.jsonl
 //! root/active/<job>/state/<policy>-r<i>.ckpt.json
 //! root/done/<job>/…                          # finished jobs (+ summary.json)
+//! root/failed/<job>/…                        # jobs that errored (+ error.json)
 //! ```
 //!
 //! See `docs/serving.md` for the checkpoint envelope, the resume
@@ -51,7 +52,9 @@ use std::sync::Mutex;
 // Errors.
 // ---------------------------------------------------------------------------
 
-/// Why the serve loop (or one of its jobs) failed.
+/// Why the serve loop (or one of its jobs) failed. Inside [`serve`], an
+/// error raised by one job fails only that job (it moves to `failed/`);
+/// only errors on the shared queue directories stop the daemon.
 #[derive(Debug)]
 pub enum ServeError {
     /// A filesystem or trace-writer failure, with the path involved.
@@ -412,19 +415,6 @@ impl Policy for Controlled<'_> {
 // A single resumable (policy, repeat) run.
 // ---------------------------------------------------------------------------
 
-/// The round loop behind one run, lifted into a steppable state machine
-/// so a checkpoint can land between any two emitted records.
-enum Driver {
-    /// The classic lockstep loop of `Simulation::run_labeled`.
-    Lockstep {
-        records: Vec<RoundRecord>,
-        next_round: usize,
-        done: bool,
-    },
-    /// The event-driven scheduler (`config.runtime` set).
-    Event(EventDrivenRun),
-}
-
 /// One policy × one seed, runnable a record at a time, checkpointable
 /// between any two records, and resumable bit-identically.
 ///
@@ -443,9 +433,8 @@ enum Driver {
 pub struct ExperimentRun<'p> {
     sim: Simulation,
     selector: Box<dyn Selector>,
-    driver: Driver,
+    driver: EventDrivenRun,
     policy_name: String,
-    target: f64,
     controlled: Option<Controlled<'p>>,
 }
 
@@ -470,44 +459,6 @@ impl<'p> ExperimentRun<'p> {
         policy: &'p dyn Policy,
         control: Option<ConvergeTarget>,
     ) -> Result<Self, ConfigError> {
-        let mut run = Self::build(config, policy, control)?;
-        if let Driver::Event(event) = &mut run.driver {
-            event
-                .prime(&mut run.sim, run.selector.as_mut(), &mut [])
-                .expect("priming without observers cannot fail");
-        }
-        Ok(run)
-    }
-
-    /// Reconstructs a checkpointed run: builds the same fresh state
-    /// [`ExperimentRun::new`] would (same start-of-run tuning, so the
-    /// accuracy engine's nominal parameters match), *without* priming
-    /// the scheduler, then restores `payload` over it.
-    pub fn resume(
-        config: &SimConfig,
-        policy: &'p dyn Policy,
-        control: Option<ConvergeTarget>,
-        payload: &serde::Value,
-    ) -> Result<Self, ServeError> {
-        let mut run = Self::build(config, policy, control).map_err(|e| ServeError::Checkpoint {
-            path: PathBuf::new(),
-            reason: format!("config no longer validates: {e}"),
-        })?;
-        run.state_restore(payload)
-            .map_err(|e| ServeError::Checkpoint {
-                path: PathBuf::new(),
-                reason: e.to_string(),
-            })?;
-        Ok(run)
-    }
-
-    /// Common construction: validate, apply the start-of-run tune, build
-    /// the simulation, selector and (unprimed) driver.
-    fn build(
-        config: &SimConfig,
-        policy: &'p dyn Policy,
-        control: Option<ConvergeTarget>,
-    ) -> Result<Self, ConfigError> {
         config.validate()?;
         let mut config = config.clone();
         let controlled = control.map(|target| Controlled::new(policy, target, &config));
@@ -519,37 +470,42 @@ impl<'p> ExperimentRun<'p> {
             config.params = params;
             config.validate()?;
         }
-        let policy_name = policy.name().to_string();
-        let target = config.target();
-        let event_driven = config.runtime.is_some();
         let sim = Simulation::new(config);
-        let selector = policy.make_selector();
-        let driver = if event_driven {
-            Driver::Event(EventDrivenRun::new(&sim))
-        } else {
-            Driver::Lockstep {
-                records: Vec::new(),
-                next_round: 0,
-                done: false,
-            }
-        };
         Ok(ExperimentRun {
+            driver: EventDrivenRun::new(&sim),
             sim,
-            selector,
-            driver,
-            policy_name,
-            target,
+            selector: policy.make_selector(),
+            policy_name: policy.name().to_string(),
             controlled,
         })
     }
 
+    /// Reconstructs a checkpointed run: builds the same fresh state
+    /// [`ExperimentRun::new`] would (same start-of-run tuning, so the
+    /// accuracy engine's nominal parameters match), then restores
+    /// `payload` over it.
+    pub fn resume(
+        config: &SimConfig,
+        policy: &'p dyn Policy,
+        control: Option<ConvergeTarget>,
+        payload: &serde::Value,
+    ) -> Result<Self, ServeError> {
+        let mut run = Self::new(config, policy, control).map_err(|e| ServeError::Checkpoint {
+            path: PathBuf::new(),
+            reason: format!("config no longer validates: {e}"),
+        })?;
+        run.state_restore(payload)
+            .map_err(|e| ServeError::Checkpoint {
+                path: PathBuf::new(),
+                reason: e.to_string(),
+            })?;
+        Ok(run)
+    }
+
     /// Records emitted so far, in emission order (the order the trace
-    /// streams in; equal to round order under the lockstep loop).
+    /// streams in; equal to round order with one cohort in flight).
     pub fn records(&self) -> &[RoundRecord] {
-        match &self.driver {
-            Driver::Lockstep { records, .. } => records,
-            Driver::Event(run) => run.records(),
-        }
+        self.driver.records()
     }
 
     /// The global parameters currently in force (moves as the
@@ -564,27 +520,10 @@ impl<'p> ExperimentRun<'p> {
     /// if any — observes it and re-tunes the live parameters through
     /// [`Policy::tune`].
     pub fn step(&mut self) -> std::io::Result<Option<RoundRecord>> {
-        let max_rounds = self.sim.config().max_rounds;
-        let emitted = match &mut self.driver {
-            Driver::Lockstep {
-                records,
-                next_round,
-                done,
-            } => {
-                if *done || *next_round >= max_rounds {
-                    None
-                } else {
-                    let record = self.sim.run_round(self.selector.as_mut(), *next_round);
-                    *next_round += 1;
-                    if record.accuracy >= self.target {
-                        *done = true;
-                    }
-                    records.push(record.clone());
-                    Some(record)
-                }
-            }
-            Driver::Event(run) => run.step(&mut self.sim, self.selector.as_mut(), &mut [])?,
-        };
+        let emitted = self
+            .driver
+            .step(&mut self.sim, self.selector.as_mut(), &mut [])?
+            .cloned();
         if let (Some(record), Some(controlled)) = (&emitted, &self.controlled) {
             controlled.observe_round(record);
             if let Some(params) = controlled.tune(self.sim.config()) {
@@ -597,38 +536,16 @@ impl<'p> ExperimentRun<'p> {
     /// Finishes the run and wraps the records (sorted by round) in a
     /// [`SimResult`] labelled with the policy name.
     pub fn into_result(self) -> SimResult {
-        match self.driver {
-            Driver::Lockstep { records, .. } => SimResult {
-                policy: self.policy_name,
-                target_accuracy: self.target,
-                records,
-            },
-            Driver::Event(run) => run.into_result(self.policy_name),
-        }
+        self.driver.into_result(self.policy_name)
     }
 
     /// Serializes everything a resumed process needs: the simulation's
     /// live state (engine RNG, accuracy engine, fleet lifecycle store,
-    /// clock, tuned parameters), the driver position (emitted records
-    /// and, event-driven, the full scheduler), the selector's learned
-    /// state (Q-tables, pending rounds, agent RNG) and the controller
-    /// position.
+    /// clock, tuned parameters), the scheduler (pending events, in-flight
+    /// cohorts, emitted records), the selector's learned state (Q-tables,
+    /// pending rounds, agent RNG) and the controller position.
     pub fn state_snapshot(&self) -> serde::Value {
-        let driver = match &self.driver {
-            Driver::Lockstep {
-                records,
-                next_round,
-                done,
-            } => serde::variant(
-                "lockstep",
-                serde::Value::Map(vec![
-                    ("records".to_string(), records.to_value()),
-                    ("next_round".to_string(), next_round.to_value()),
-                    ("done".to_string(), done.to_value()),
-                ]),
-            ),
-            Driver::Event(run) => serde::variant("event", run.state_snapshot()),
-        };
+        let driver = serde::variant("event", self.driver.state_snapshot());
         serde::Value::Map(vec![
             (
                 "policy".to_string(),
@@ -651,7 +568,7 @@ impl<'p> ExperimentRun<'p> {
     }
 
     /// Restores a payload captured by [`ExperimentRun::state_snapshot`]
-    /// onto a freshly built (unprimed) run of the same spec.
+    /// onto a freshly built run of the same spec.
     fn state_restore(&mut self, payload: &serde::Value) -> Result<(), serde::Error> {
         let policy = String::from_value(serde::field_or_null(payload, "policy"))
             .map_err(|e| e.at("policy"))?;
@@ -668,36 +585,15 @@ impl<'p> ExperimentRun<'p> {
         let (kind, body) = serde::variant_parts(driver_value).ok_or_else(|| {
             serde::Error::invalid_type("single-entry variant map", driver_value).at("driver")
         })?;
-        match (&mut self.driver, kind) {
-            (
-                Driver::Lockstep {
-                    records,
-                    next_round,
-                    done,
-                },
-                "lockstep",
-            ) => {
-                *records = Vec::<RoundRecord>::from_value(serde::field_or_null(body, "records"))
-                    .map_err(|e| e.at("records").at("driver"))?;
-                *next_round = usize::from_value(serde::field_or_null(body, "next_round"))
-                    .map_err(|e| e.at("next_round").at("driver"))?;
-                *done = bool::from_value(serde::field_or_null(body, "done"))
-                    .map_err(|e| e.at("done").at("driver"))?;
-            }
-            (Driver::Event(run), "event") => {
-                run.state_restore(body).map_err(|e| e.at("driver"))?;
-            }
-            (driver, kind) => {
-                return Err(serde::Error::custom(format!(
-                    "checkpoint drives a `{kind}` loop but the config builds a `{}` one",
-                    match driver {
-                        Driver::Lockstep { .. } => "lockstep",
-                        Driver::Event(_) => "event",
-                    }
-                ))
-                .at("driver"));
-            }
+        if kind != "event" {
+            return Err(serde::Error::custom(format!(
+                "checkpoint drives a `{kind}` loop; this build resumes only the event scheduler"
+            ))
+            .at("driver"));
         }
+        self.driver
+            .state_restore(body)
+            .map_err(|e| e.at("driver"))?;
         self.selector
             .state_restore(serde::field_or_null(payload, "selector"))
             .map_err(|e| e.at("selector"))?;
@@ -739,7 +635,7 @@ impl<'p> ExperimentRun<'p> {
 /// Tuning of the [`serve`] loop.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Root directory holding `queue/`, `active/` and `done/`.
+    /// Root directory holding `queue/`, `active/`, `done/` and `failed/`.
     pub root: PathBuf,
     /// Drain everything currently queued (and any interrupted jobs in
     /// `active/`), then return instead of polling forever.
@@ -774,6 +670,8 @@ pub struct ServeReport {
     pub jobs: usize,
     /// `(policy, repeat)` units completed (including resumed ones).
     pub units: usize,
+    /// Jobs moved to `failed/`.
+    pub failed: usize,
 }
 
 /// One row of a job's `summary.json`.
@@ -803,11 +701,19 @@ pub struct UnitSummary {
 /// [`ServeOptions::once`] the call returns after draining; otherwise it
 /// polls forever (run it under a supervisor and SIGKILL at will — that
 /// is the point).
+///
+/// A job that fails — a spec that does not parse or validate, an
+/// unreadable checkpoint, I/O inside its directory — moves to
+/// `root/failed/<job>/` with an `error.json` holding the error text, and
+/// the loop goes on to the next job, so one bad job never blocks the
+/// queue behind it. Only failures on the shared directories are
+/// returned as errors.
 pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeReport, ServeError> {
     let queue = opts.root.join("queue");
     let active = opts.root.join("active");
     let done = opts.root.join("done");
-    for dir in [&queue, &active, &done] {
+    let failed = opts.root.join("failed");
+    for dir in [&queue, &active, &done, &failed] {
         std::fs::create_dir_all(dir)
             .map_err(ServeError::io(format!("creating {}", dir.display())))?;
     }
@@ -846,18 +752,30 @@ pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeRepo
             continue;
         }
         for job_dir in jobs {
-            report.units += run_job(registry, &job_dir, opts, &crash_counter)?;
-            let dest = done.join(job_dir.file_name().expect("job dirs are named"));
-            if dest.exists() {
-                std::fs::remove_dir_all(&dest)
-                    .map_err(ServeError::io(format!("clearing stale {}", dest.display())))?;
+            let name = job_dir.file_name().expect("job dirs are named");
+            match run_job(registry, &job_dir, opts, &crash_counter) {
+                Ok(units) => {
+                    move_job(&job_dir, &done.join(name))?;
+                    report.units += units;
+                    report.jobs += 1;
+                }
+                Err(error) => {
+                    let dest = failed.join(name);
+                    move_job(&job_dir, &dest)?;
+                    let body = serde::Value::Map(vec![
+                        (
+                            "job".to_string(),
+                            serde::Value::Str(name.to_string_lossy().into_owned()),
+                        ),
+                        ("error".to_string(), serde::Value::Str(error.to_string())),
+                    ]);
+                    let path = dest.join("error.json");
+                    let text = serde_json::to_string_pretty(&body).expect("error serializes");
+                    std::fs::write(&path, text)
+                        .map_err(ServeError::io(format!("writing {}", path.display())))?;
+                    report.failed += 1;
+                }
             }
-            std::fs::rename(&job_dir, &dest).map_err(ServeError::io(format!(
-                "finishing {} into {}",
-                job_dir.display(),
-                dest.display()
-            )))?;
-            report.jobs += 1;
         }
         if opts.once {
             // Re-scan once more: a job may have been queued while the
@@ -865,6 +783,20 @@ pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeRepo
             continue;
         }
     }
+}
+
+/// Moves a job directory out of `active/` to `dest`, replacing a stale
+/// copy left by an earlier run of a job with the same name.
+fn move_job(job_dir: &Path, dest: &Path) -> Result<(), ServeError> {
+    if dest.exists() {
+        std::fs::remove_dir_all(dest)
+            .map_err(ServeError::io(format!("clearing stale {}", dest.display())))?;
+    }
+    std::fs::rename(job_dir, dest).map_err(ServeError::io(format!(
+        "moving {} to {}",
+        job_dir.display(),
+        dest.display()
+    )))
 }
 
 /// Directory entries sorted by file name (std gives no order).
@@ -1223,7 +1155,14 @@ mod tests {
             ..ServeOptions::new(&root)
         };
         let report = serve(&baseline_registry(), &opts).unwrap();
-        assert_eq!(report, ServeReport { jobs: 1, units: 4 });
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 1,
+                units: 4,
+                failed: 0
+            }
+        );
         // The queue entry became a finished job with traces + summary.
         assert!(!root.join("queue/smoke.json").exists());
         assert!(!root.join("active/smoke").exists());
@@ -1254,6 +1193,71 @@ mod tests {
             .collect();
         let trace = done.join("traces/FedAvg-Random-r1.jsonl");
         assert_eq!(std::fs::read_to_string(trace).unwrap(), expected);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_failing_job_moves_to_failed_without_stopping_the_daemon() {
+        let root = std::env::temp_dir().join(format!("autofl-serve-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("queue")).unwrap();
+        let mut config = SimConfig::tiny_test(6);
+        config.max_rounds = 3;
+        config.target_accuracy = Some(1.1);
+        let json = ExperimentSpec::new("good", config.clone(), ["FedAvg-Random"], 1).to_json();
+        // A truncated spec that sorts before the good one.
+        std::fs::write(root.join("queue/a_truncated.json"), &json[..json.len() / 2]).unwrap();
+        std::fs::write(root.join("queue/good.json"), &json).unwrap();
+        let registry = baseline_registry();
+        let opts = ServeOptions {
+            once: true,
+            ..ServeOptions::new(&root)
+        };
+        let report = serve(&registry, &opts).unwrap();
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 1,
+                units: 1,
+                failed: 1
+            }
+        );
+        assert!(root.join("done/good/summary.json").is_file());
+        assert!(!root.join("active/a_truncated").exists());
+        let error = std::fs::read_to_string(root.join("failed/a_truncated/error.json")).unwrap();
+        assert!(error.contains("a_truncated"), "{error}");
+        // The failed job is out of the way: a second drain has nothing to do.
+        assert_eq!(serve(&registry, &opts).unwrap(), ServeReport::default());
+
+        // A checkpoint written by the retired lockstep driver fails its
+        // job with a typed error, never a panic.
+        let job = root.join("active/legacy");
+        std::fs::create_dir_all(job.join("state")).unwrap();
+        std::fs::write(job.join("spec.json"), &json).unwrap();
+        let mut run = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+        run.step().unwrap().unwrap();
+        let mut payload = run.state_snapshot();
+        let serde::Value::Map(fields) = &mut payload else {
+            panic!("snapshots are maps")
+        };
+        for (name, value) in fields.iter_mut() {
+            if name == "driver" {
+                *value = serde::variant(
+                    "lockstep",
+                    serde::Value::Map(vec![
+                        ("records".to_string(), run.records().to_value()),
+                        ("next_round".to_string(), 1usize.to_value()),
+                        ("done".to_string(), false.to_value()),
+                    ]),
+                );
+            }
+        }
+        write_checkpoint(&job.join("state/FedAvg-Random-r0.ckpt.json"), payload).unwrap();
+        let report = serve(&registry, &opts).unwrap();
+        assert_eq!(report.failed, 1);
+        assert!(!job.exists());
+        let error = std::fs::read_to_string(root.join("failed/legacy/error.json")).unwrap();
+        assert!(error.contains("`lockstep` loop"), "{error}");
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

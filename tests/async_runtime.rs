@@ -1,9 +1,11 @@
 //! The event-driven runtime's two contracts (see `docs/async-runtime.md`):
 //!
 //! 1. **Barrier equivalence** — the discrete-event scheduler with a full
-//!    barrier (`AsyncRuntime::barrier()`) reproduces the lockstep engine
-//!    *bit for bit*: every registered policy, at multiple thread and
-//!    shard counts, with fleet dynamics, dropout and OverSelect active.
+//!    barrier (`AsyncRuntime::barrier()`, also what `runtime: None`
+//!    runs) reproduces a lockstep loop of `Simulation::run_round` stepped
+//!    by hand *bit for bit*: every registered policy, at multiple thread
+//!    and shard counts, with fleet dynamics, dropout and OverSelect
+//!    active.
 //! 2. **Determinism** — buffered staleness-weighted aggregation is
 //!    bit-reproducible per seed at any thread count, and the staleness
 //!    weights themselves are deterministic and sum-normalized.
@@ -11,7 +13,7 @@
 use autofl_fed::engine::{SimConfig, SimResult, Simulation};
 use autofl_fed::fleet::{survivor_weights, FleetDynamics, StragglerPolicy};
 use autofl_fed::runtime::{staleness_weight, AsyncRuntime};
-use autofl_fed::selection::RandomSelector;
+use autofl_fed::selection::{RandomSelector, Selector};
 use autofl_nn::zoo::Workload;
 use proptest::prelude::*;
 
@@ -80,6 +82,29 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, label: &str) {
     assert_eq!(a.ppw_local().to_bits(), b.ppw_local().to_bits(), "{label}");
 }
 
+/// The lockstep reference: `Simulation::run_round` — the single-round
+/// API — stepped by hand until the first record at the target or the
+/// horizon, whichever comes first. `Simulation::run` must reproduce it.
+fn hand_stepped(cfg: SimConfig, selector: &mut dyn Selector) -> SimResult {
+    let target = cfg.target();
+    let max_rounds = cfg.max_rounds;
+    let mut sim = Simulation::new(cfg);
+    let mut records = Vec::new();
+    for round in 0..max_rounds {
+        let record = sim.run_round(selector, round);
+        let reached = record.accuracy >= target;
+        records.push(record);
+        if reached {
+            break;
+        }
+    }
+    SimResult {
+        policy: selector.name().to_string(),
+        target_accuracy: target,
+        records,
+    }
+}
+
 /// A smoke-scale configuration with every fleet-dynamics effect active —
 /// churn, battery, mid-round dropout and OverSelect — the hardest config
 /// for the equivalence contract.
@@ -99,27 +124,33 @@ fn dynamic_config(seed: u64, shards: usize) -> SimConfig {
 fn barrier_runtime_reproduces_lockstep_for_every_policy() {
     // Digest-pins the barrier-equivalence contract across the whole
     // policy registry (baselines, clusters, oracles, AutoFL) at
-    // AUTOFL_THREADS ∈ {1, 4} × shards ∈ {1, 4}.
+    // AUTOFL_THREADS ∈ {1, 4} × shards ∈ {1, 4}, for the default
+    // `runtime: None` and an explicit barrier alike.
     let registry = autofl_core::standard_registry();
     for policy in registry.iter() {
         for shards in [1, 4] {
             let lockstep = with_threads(1, || {
                 let mut selector = policy.make_selector();
-                Simulation::new(dynamic_config(13, shards)).run(selector.as_mut())
+                hand_stepped(dynamic_config(13, shards), selector.as_mut())
             });
             for threads in [1, 4] {
-                let event = with_threads(threads, || {
-                    let mut cfg = dynamic_config(13, shards);
-                    cfg.runtime = Some(AsyncRuntime::barrier());
-                    let mut selector = policy.make_selector();
-                    Simulation::new(cfg).run(selector.as_mut())
-                });
-                let label = format!("{} (shards {shards}, threads {threads})", policy.name());
-                assert_bit_identical(&lockstep, &event, &label);
-                assert!(
-                    event.records.iter().all(|r| r.mean_staleness == 0.0),
-                    "{label}: a full barrier has no stale updates"
-                );
+                for runtime in [None, Some(AsyncRuntime::barrier())] {
+                    let event = with_threads(threads, || {
+                        let mut cfg = dynamic_config(13, shards);
+                        cfg.runtime = runtime;
+                        let mut selector = policy.make_selector();
+                        Simulation::new(cfg).run(selector.as_mut())
+                    });
+                    let label = format!(
+                        "{} (shards {shards}, threads {threads}, runtime {runtime:?})",
+                        policy.name()
+                    );
+                    assert_bit_identical(&lockstep, &event, &label);
+                    assert!(
+                        event.records.iter().all(|r| r.mean_staleness == 0.0),
+                        "{label}: a full barrier has no stale updates"
+                    );
+                }
             }
         }
     }
@@ -202,7 +233,7 @@ fn barrier_equivalence_holds_under_real_training() {
         cfg.target_accuracy = Some(1.1);
         cfg
     };
-    let lockstep = Simulation::new(mk()).run(&mut RandomSelector::new());
+    let lockstep = hand_stepped(mk(), &mut RandomSelector::new());
     let mut cfg = mk();
     cfg.runtime = Some(AsyncRuntime::barrier());
     let event = Simulation::new(cfg).run(&mut RandomSelector::new());
@@ -212,7 +243,7 @@ fn barrier_equivalence_holds_under_real_training() {
 #[test]
 fn spec_round_trips_the_runtime_block() {
     // AsyncRuntime serializes through SimConfig (spec files) and an
-    // absent field deserializes to the lockstep default.
+    // absent field deserializes to the default barrier (`None`).
     let mut cfg = SimConfig::tiny_test(1);
     cfg.runtime = Some(AsyncRuntime::buffered(4, 1.0).concurrent_cohorts(2));
     let json = serde_json::to_string(&cfg).expect("config serializes");

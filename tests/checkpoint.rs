@@ -154,3 +154,62 @@ fn controlled_run_resumes_on_the_same_control_trajectory() {
         "controller EMA/scale must continue, not restart, after resume"
     );
 }
+
+/// FNV-1a 64 over a trace's bytes, as fixed-width hex (the same hash the
+/// checkpoint envelope and the benchmark's record digest use).
+fn trace_digest(records: &[RoundRecord]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in trace(records).bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
+
+/// Runs `config` under `policy` through the steppable API and returns the
+/// records in emission order.
+fn stepped(
+    config: &SimConfig,
+    policy: &dyn Policy,
+    control: Option<ConvergeTarget>,
+) -> Vec<RoundRecord> {
+    let mut run = ExperimentRun::new(config, policy, control).expect("config validates");
+    while run.step().expect("no observers").is_some() {}
+    run.records().to_vec()
+}
+
+#[test]
+fn controlled_default_driver_trajectory_is_pinned() {
+    // A controller's retune after record r must reach cohort r + 1. The
+    // digest was recorded when `runtime: None` still ran a separate
+    // lockstep loop, so it pins that trajectory across driver refactors.
+    let mut config = full_config(53, 1);
+    config.max_rounds = 12;
+    let control = Some(ConvergeTarget::EnergyBudget {
+        joules_per_round: 0.05,
+    });
+    let records = stepped(&config, &RandomPolicy, control);
+    let cohorts: Vec<usize> = records.iter().map(|r| r.participants.len()).collect();
+    assert!(
+        cohorts.windows(2).any(|w| w[0] != w[1]),
+        "the controller must actually retune K: {cohorts:?}"
+    );
+    assert_eq!(trace_digest(&records), "815edf1b0a8e290d");
+}
+
+#[test]
+fn buffered_concurrent_trajectory_is_pinned() {
+    // Two cohorts in flight, buffered aggregation, no controller: the
+    // emission-order trace is pinned across scheduler refactors, at every
+    // shard count.
+    for shards in [1, 4] {
+        let mut config = full_config(23, shards);
+        config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+        let records = stepped(&config, &RandomPolicy, None);
+        assert_eq!(
+            trace_digest(&records),
+            "a7b207999971ab0a",
+            "shards={shards}"
+        );
+    }
+}

@@ -10,7 +10,7 @@ use autofl_fed::fabric::{
     PartitionSchedule, PeriodicFullSync, TopK, TopKInt8, UpdateCodec,
 };
 use autofl_fed::runtime::AsyncRuntime;
-use autofl_fed::selection::RandomSelector;
+use autofl_fed::selection::{RandomSelector, Selector};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -263,9 +263,10 @@ fn fabric_enabled_runs_are_bit_identical_across_threads_and_shards() {
     }
 }
 
-/// The event-driven runtime with a full barrier stays bit-identical to
-/// the lockstep engine with the fabric attached (the PR 6 contract
-/// extended to the network path).
+/// The event-driven runtime with a full barrier stays bit-identical to a
+/// lockstep loop of `Simulation::run_round` stepped by hand with the
+/// fabric attached (the barrier-equivalence contract extended to the
+/// network path).
 #[test]
 fn barrier_runtime_matches_lockstep_with_fabric_enabled() {
     let make_cfg = || {
@@ -275,7 +276,19 @@ fn barrier_runtime_matches_lockstep_with_fabric_enabled() {
         cfg.network = Some(kitchen_sink_fabric(cfg.num_devices));
         cfg
     };
-    let lockstep = Simulation::new(make_cfg()).run(&mut RandomSelector::new());
+    let lockstep = {
+        let cfg = make_cfg();
+        let mut selector = RandomSelector::new();
+        let mut sim = Simulation::new(cfg.clone());
+        let records = (0..cfg.max_rounds)
+            .map(|round| sim.run_round(&mut selector, round))
+            .collect();
+        SimResult {
+            policy: selector.name().to_string(),
+            target_accuracy: cfg.target(),
+            records,
+        }
+    };
     let mut cfg = make_cfg();
     cfg.runtime = Some(AsyncRuntime::barrier());
     let barrier = Simulation::new(cfg).run(&mut RandomSelector::new());
