@@ -3,8 +3,8 @@
 //!
 //! The ROADMAP's north star is "heavy traffic from millions of users";
 //! this binary is the proof and the regression guard. For every fleet
-//! size it builds a Surrogate-fidelity simulation (sharded
-//! structure-of-arrays stores, labels-only data), runs a fixed number of
+//! size it builds a Surrogate-fidelity simulation (sharded lifecycle
+//! store, on-demand conditions, labels-only data), runs a fixed number of
 //! FedAvg-Random rounds, and reports setup time, rounds/second and a
 //! peak-RSS proxy — once on a static fleet and once with full fleet
 //! dynamics (battery / thermal / churn) enabled. Rows merge into
@@ -90,7 +90,9 @@ fn run_scale(devices: usize, dynamics: bool) -> ScaleRow {
         // VmHWM is a process high-water mark: with fleet sizes swept in
         // ascending order it tracks the largest simulation so far, i.e.
         // the current one. Where /proc is unavailable, fall back to the
-        // simulation's tracked per-device store bytes.
+        // simulation's per-device store bytes: the lifecycle store under
+        // dynamics, 0 on a static fleet (conditions are sampled when
+        // read, so no conditions store exists).
         rss_kb: peak_rss_kb().unwrap_or_else(|| sim.store_bytes() as f64 / 1024.0),
         final_accuracy: accuracy,
     }

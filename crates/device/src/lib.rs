@@ -58,5 +58,5 @@ pub use interference::Interference;
 pub use lifecycle::DeviceLifecycle;
 pub use network::{NetworkObservation, SignalStrength};
 pub use scenario::{DeviceConditions, VarianceScenario};
-pub use store::{shard_extents, ConditionsStore};
+pub use store::{shard_extents, Conditions, ConditionsStore};
 pub use tier::DeviceTier;

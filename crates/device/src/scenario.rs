@@ -97,14 +97,24 @@ impl VarianceScenario {
         assert_eq!(out.len(), fleet.len(), "store must cover the fleet");
         out.shards_mut().par_iter_mut().for_each(|shard| {
             for j in 0..shard.len() {
-                let i = shard.offset + j;
-                let mut rng = SmallRng::seed_from_u64(
-                    round_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                let c = self.sample(fleet.device(crate::fleet::DeviceId(i)), &mut rng);
+                let c = self.sample_device(fleet, round_seed, shard.offset + j);
                 shard.set_lane(j, &c);
             }
         });
+    }
+
+    /// Samples device `i`'s conditions for the round keyed by
+    /// `round_seed`, on the device's own RNG stream — the value
+    /// [`sample_into`] stores for it, computed without touching any other
+    /// device. Readers that need only a few devices' conditions (a
+    /// cohort) call this instead of filling a fleet-sized store.
+    ///
+    /// [`sample_into`]: VarianceScenario::sample_into
+    #[inline]
+    pub fn sample_device(&self, fleet: &Fleet, round_seed: u64, i: usize) -> DeviceConditions {
+        let mut rng =
+            SmallRng::seed_from_u64(round_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        self.sample(fleet.device(crate::fleet::DeviceId(i)), &mut rng)
     }
 
     /// Samples the whole fleet's conditions into a `Vec` of structs

@@ -100,6 +100,25 @@ impl ConditionShard {
     }
 }
 
+/// Read access to one round's per-device [`DeviceConditions`], indexed by
+/// raw device id.
+///
+/// [`ConditionsStore`] implements it over stored values; a view that
+/// samples each device when it is read (the simulation engine's) does
+/// too, so readers such as the cost estimators work with either.
+pub trait Conditions: Sync + std::fmt::Debug {
+    /// Device `i`'s conditions this round.
+    fn get(&self, i: usize) -> DeviceConditions;
+
+    /// Number of devices covered.
+    fn len(&self) -> usize;
+
+    /// Whether no devices are covered.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Sharded structure-of-arrays storage of every device's per-round
 /// [`DeviceConditions`].
 ///
@@ -220,6 +239,17 @@ impl ConditionsStore {
                     + s.signal.capacity()
             })
             .sum()
+    }
+}
+
+impl Conditions for ConditionsStore {
+    #[inline]
+    fn get(&self, i: usize) -> DeviceConditions {
+        ConditionsStore::get(self, i)
+    }
+
+    fn len(&self) -> usize {
+        ConditionsStore::len(self)
     }
 }
 

@@ -16,8 +16,8 @@ use autofl_data::FlData;
 use autofl_device::cost::{ExecutionPlan, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
 use autofl_device::idle_energy_j;
-use autofl_device::scenario::VarianceScenario;
-use autofl_device::store::ConditionsStore;
+use autofl_device::scenario::{DeviceConditions, VarianceScenario};
+use autofl_device::store::Conditions;
 use autofl_device::tier::DeviceTier;
 use autofl_nn::zoo::Workload;
 use rand::rngs::SmallRng;
@@ -438,9 +438,6 @@ impl SimResult {
 /// returned [`RoundRecord`].
 #[derive(Debug, Default)]
 struct RoundScratch {
-    /// Per-device sampled conditions (sharded structure-of-arrays),
-    /// indexed by raw device id.
-    conditions: ConditionsStore,
     /// Per-participant training tasks.
     tasks: Vec<TrainingTask>,
     /// Fleet-sized participant membership mask.
@@ -458,15 +455,87 @@ struct RoundScratch {
     /// Shard bins with per-bin eligible counts recomputed under the
     /// partition mask, backing [`AvailabilityView::Masked`].
     masked_bins: Vec<ShardBin>,
-    /// The conditions devices *report* to the server — the true sampled
-    /// conditions with faulty sensors' lies overlaid. Selection (and the
-    /// AutoFL state bins) read this store; cost execution keeps reading
-    /// the true conditions. Only touched when an adversary config with
-    /// faulty sensors is attached.
-    reported: ConditionsStore,
     /// Per-participant adversary roles, in participant order. Only
     /// touched when an adversary config is attached.
     roles: Vec<AdversaryRole>,
+}
+
+/// One round's per-device runtime conditions, sampled when read.
+///
+/// `get(i)` draws device `i`'s conditions from its own `(seed, round, id)`
+/// stream ([`VarianceScenario::sample_device`]) and overlays its thermal
+/// throttle from the lifecycle store: exactly the value a fleet-wide
+/// [`VarianceScenario::sample_into`] followed by
+/// [`FleetStore::overlay_throttle`] stores, at the cost of the devices
+/// actually read. The [`RoundConditions::reported`] view returns, for
+/// faulty-sensor devices, the always-healthy lie drawn on their
+/// `(seed, TAG_ADV, round + 1, id)` stream instead.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundConditions<'a> {
+    config: &'a SimConfig,
+    fleet: &'a Fleet,
+    lifecycle: Option<&'a FleetStore>,
+    round: usize,
+    round_seed: u64,
+    /// The adversary whose faulty sensors lie; `Some` only in a reported
+    /// view of a run with faulty sensors.
+    liars: Option<&'a AdversaryConfig>,
+}
+
+impl<'a> RoundConditions<'a> {
+    /// The true conditions of `round`.
+    fn new(
+        config: &'a SimConfig,
+        fleet: &'a Fleet,
+        lifecycle: Option<&'a FleetStore>,
+        round: usize,
+    ) -> Self {
+        RoundConditions {
+            config,
+            fleet,
+            lifecycle,
+            round,
+            round_seed: round_stream_seed(config.seed, round),
+            liars: None,
+        }
+    }
+
+    /// The same round as devices report it to the server: faulty sensors'
+    /// lies in place of their true conditions. Equal to `self` without
+    /// faulty sensors.
+    fn reported(self) -> Self {
+        RoundConditions {
+            liars: self
+                .config
+                .adversary
+                .as_ref()
+                .filter(|a| a.faulty_sensor_fraction > 0.0),
+            ..self
+        }
+    }
+}
+
+impl Conditions for RoundConditions<'_> {
+    fn get(&self, i: usize) -> DeviceConditions {
+        let seed = self.config.seed;
+        if let Some(adv) = self.liars {
+            if adv.role_of(seed, i) == AdversaryRole::FaultySensor {
+                return AdversaryConfig::corrupt_report(&mut adv_stream(seed, self.round, i));
+            }
+        }
+        let mut c = self
+            .config
+            .scenario
+            .sample_device(self.fleet, self.round_seed, i);
+        if let Some(store) = self.lifecycle {
+            c.throttle = store.throttle(i);
+        }
+        c
+    }
+
+    fn len(&self) -> usize {
+        self.fleet.len()
+    }
 }
 
 /// Everything a dispatched cohort carries between check-in/execution
@@ -692,18 +761,15 @@ impl Simulation {
         &self.data
     }
 
-    /// Approximate heap bytes held by the per-device round stores (the
-    /// conditions store plus, under fleet dynamics, the lifecycle
-    /// store). The `fig_scale` bench reports this as the memory-footprint
-    /// proxy where `/proc/self/status` is unavailable; it deliberately
-    /// excludes the dataset and fleet, whose sizes are layout-independent.
+    /// Approximate heap bytes held by the per-device round stores: the
+    /// lifecycle store under fleet dynamics, and nothing on a static
+    /// fleet. Runtime conditions are sampled when read, so no
+    /// fleet-sized conditions buffer exists. The `fig_scale` bench
+    /// reports this as the memory-footprint proxy where
+    /// `/proc/self/status` is unavailable; it deliberately excludes the
+    /// dataset and fleet, whose sizes are layout-independent.
     pub fn store_bytes(&self) -> usize {
-        self.scratch.conditions.size_bytes()
-            + self
-                .fleet_state
-                .as_ref()
-                .map(|s| s.size_bytes())
-                .unwrap_or(0)
+        self.fleet_state.as_ref().map_or(0, |s| s.size_bytes())
     }
 
     /// Current global accuracy.
@@ -834,45 +900,17 @@ impl Simulation {
             _ => 0,
         };
 
-        // 1. Sample per-device runtime conditions into the sharded
-        // structure-of-arrays store — in parallel, each device on its own
-        // RNG stream derived from (seed, round, id), so the sample is
-        // independent of thread count, shard count and fleet iteration
-        // order. Thermal throttle levels carried by the lifecycle store
-        // are overlaid on top (a per-shard array copy).
-        let cond_seed = round_stream_seed(self.config.seed, round);
-        self.scratch
-            .conditions
-            .reshape(self.fleet.len(), self.config.shards);
-        self.config
-            .scenario
-            .sample_into(&self.fleet, cond_seed, &mut self.scratch.conditions);
-        if let Some(store) = &self.fleet_state {
-            store.overlay_throttle(&mut self.scratch.conditions);
-        }
-        // 1c. Faulty sensors lie to the server: the conditions *reported*
-        // to selection (and through it the AutoFL state bins) are
-        // overwritten with an always-healthy fabrication drawn on the
-        // device's `(seed, TAG_ADV, round + 1, id)` stream, while the
-        // true sampled conditions keep driving cost execution below.
-        // Without faulty sensors the reported store is never built and
-        // selection reads the true store directly.
-        let lying_sensors = self
-            .config
-            .adversary
-            .as_ref()
-            .is_some_and(|a| a.faulty_sensor_fraction > 0.0);
-        if lying_sensors {
-            let adv = self.config.adversary.as_ref().expect("lying_sensors");
-            self.scratch.reported.clone_from(&self.scratch.conditions);
-            for id in 0..self.fleet.len() {
-                if adv.role_of(self.config.seed, id) == AdversaryRole::FaultySensor {
-                    let mut rng = adv_stream(self.config.seed, round, id);
-                    let lie = AdversaryConfig::corrupt_report(&mut rng);
-                    self.scratch.reported.set(id, &lie);
-                }
-            }
-        }
+        // 1. Runtime conditions, sampled on demand: reading device `i`
+        // draws from its own RNG stream derived from (seed, round, id) and
+        // overlays the lifecycle store's throttle, so a value is
+        // independent of thread count, shard count and read order, and
+        // the round pays only for the devices it reads. Faulty sensors
+        // lie to the server: selection (and through it the AutoFL state
+        // bins) reads the `reported` view, while the true conditions keep
+        // driving cost execution below.
+        let truth =
+            RoundConditions::new(&self.config, &self.fleet, self.fleet_state.as_ref(), round);
+        let reported = truth.reported();
         let base_availability = match &self.fleet_state {
             Some(store) => AvailabilityView::Dynamic(store),
             None => AvailabilityView::Ideal {
@@ -944,11 +982,7 @@ impl Simulation {
         let ctx = RoundContext {
             round,
             fleet: &self.fleet,
-            conditions: if lying_sensors {
-                &self.scratch.reported
-            } else {
-                &self.scratch.conditions
-            },
+            conditions: &reported,
             availability,
             partition: &self.data.partition,
             params: &params,
@@ -1015,7 +1049,7 @@ impl Simulation {
             &participants,
             &plans,
             &self.scratch.tasks,
-            &self.scratch.conditions,
+            &truth,
         );
         let mut completion: Vec<f64> = costs.iter().map(|c| c.total_time_s()).collect();
         // 3a. Free-riders skip local training entirely: their round is
@@ -1041,8 +1075,8 @@ impl Simulation {
             net_lost.resize(participants.len(), false);
             for (i, id) in participants.iter().enumerate() {
                 let mut link_rng = crate::fabric::net_stream(self.config.seed, round, id.0);
-                let weak = self.scratch.conditions.get(id.0).network.signal
-                    == autofl_device::network::SignalStrength::Weak;
+                let weak =
+                    truth.get(id.0).network.signal == autofl_device::network::SignalStrength::Weak;
                 let draw = fabric
                     .link
                     .draw(self.fleet.device(*id).tier(), weak, &mut link_rng);
@@ -1773,5 +1807,105 @@ mod tests {
             waited < dropped,
             "waiting must keep updates: {waited} vs {dropped}"
         );
+    }
+
+    /// The eager reference for [`RoundConditions`]: the whole fleet
+    /// sampled into a store with the throttles overlaid, and a copy with
+    /// the faulty sensors' lies written over their slots.
+    fn eager_conditions(
+        sim: &Simulation,
+        round: usize,
+    ) -> (
+        autofl_device::store::ConditionsStore,
+        autofl_device::store::ConditionsStore,
+    ) {
+        let cfg = &sim.config;
+        let mut truth = autofl_device::store::ConditionsStore::new(sim.fleet.len(), cfg.shards);
+        cfg.scenario
+            .sample_into(&sim.fleet, round_stream_seed(cfg.seed, round), &mut truth);
+        if let Some(store) = &sim.fleet_state {
+            store.overlay_throttle(&mut truth);
+        }
+        let mut reported = truth.clone();
+        if let Some(adv) = &cfg.adversary {
+            for id in 0..sim.fleet.len() {
+                if adv.role_of(cfg.seed, id) == AdversaryRole::FaultySensor {
+                    let lie = AdversaryConfig::corrupt_report(&mut adv_stream(cfg.seed, round, id));
+                    reported.set(id, &lie);
+                }
+            }
+        }
+        (truth, reported)
+    }
+
+    #[test]
+    fn lazy_round_conditions_equal_the_eager_fleet_sample() {
+        let dynamics = crate::fleet::FleetDynamics::realistic();
+        let liars = AdversaryConfig {
+            faulty_sensor_fraction: 0.3,
+            ..AdversaryConfig::poisoning(0.0)
+        };
+        let worlds = [
+            ("static", None, None),
+            ("dynamics", Some(dynamics.clone()), None),
+            ("faulty sensors", Some(dynamics), Some(liars)),
+        ];
+        for shards in [1, 16] {
+            for (label, fleet, adversary) in worlds.clone() {
+                let mut cfg = SimConfig::smoke(21);
+                cfg.scenario = VarianceScenario::realistic();
+                cfg.shards = shards;
+                cfg.fleet = fleet;
+                cfg.adversary = adversary;
+                let mut sim = Simulation::new(cfg);
+                let mut selector = RandomSelector::new();
+                let round = 6;
+                for r in 0..round {
+                    sim.run_round(&mut selector, r);
+                }
+                let lazy =
+                    RoundConditions::new(&sim.config, &sim.fleet, sim.fleet_state.as_ref(), round);
+                let (truth, reported) = eager_conditions(&sim, round);
+                assert_eq!(lazy.len(), truth.len());
+                for i in 0..truth.len() {
+                    let at = format!("{label}, {shards} shards, device {i}");
+                    assert_eq!(lazy.get(i), truth.get(i), "{at}");
+                    assert_eq!(lazy.reported().get(i), reported.get(i), "{at} (reported)");
+                }
+                if sim.fleet_state.is_some() {
+                    assert!(
+                        (0..truth.len()).any(|i| truth.throttle(i) > 0.0),
+                        "{label}: training rounds must leave some device throttled"
+                    );
+                }
+                if adversary.is_some() {
+                    assert!(
+                        (0..truth.len()).any(|i| truth.get(i) != reported.get(i)),
+                        "{label}: some faulty sensor must lie"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_fleet_sized_conditions_buffer_is_held() {
+        for fleet in [None, Some(crate::fleet::FleetDynamics::realistic())] {
+            let mut cfg = SimConfig::smoke(4);
+            cfg.shards = 4;
+            cfg.fleet = fleet;
+            let mut sim = Simulation::new(cfg);
+            let mut selector = RandomSelector::new();
+            for round in 0..5 {
+                sim.run_round(&mut selector, round);
+            }
+            // 0 on a static fleet: nothing per-device is stored there.
+            let lifecycle = sim.fleet_state.as_ref().map_or(0, |s| s.size_bytes());
+            assert_eq!(
+                sim.store_bytes(),
+                lifecycle,
+                "only the lifecycle store may scale with the fleet"
+            );
+        }
     }
 }

@@ -3,7 +3,7 @@
 
 use autofl_device::cost::{execute, idle_energy_j, ExecutionPlan, RoundCost, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::store::ConditionsStore;
+use autofl_device::store::Conditions;
 use autofl_device::tier::DeviceTier;
 use rayon::prelude::*;
 
@@ -44,7 +44,7 @@ pub fn participant_costs(
     participants: &[DeviceId],
     plans: &[ExecutionPlan],
     tasks: &[TrainingTask],
-    conditions: &ConditionsStore,
+    conditions: &(impl Conditions + ?Sized),
 ) -> Vec<RoundCost> {
     assert_eq!(participants.len(), plans.len(), "plan per participant");
     assert_eq!(participants.len(), tasks.len(), "task per participant");
@@ -67,7 +67,8 @@ pub fn participant_costs(
 /// Estimates the cost of a round in which `participants[i]` executes
 /// `tasks[i]` under `plans[i]`, with every other fleet device idle.
 ///
-/// `conditions` is indexed by raw device id and must cover the fleet.
+/// `conditions` is indexed by raw device id and must cover the fleet;
+/// only the participants' entries are read.
 ///
 /// # Panics
 ///
@@ -77,7 +78,7 @@ pub fn estimate_round(
     participants: &[DeviceId],
     plans: &[ExecutionPlan],
     tasks: &[TrainingTask],
-    conditions: &ConditionsStore,
+    conditions: &(impl Conditions + ?Sized),
 ) -> RoundEstimate {
     let per_participant = participant_costs(fleet, participants, plans, tasks, conditions);
     let mut round_time_s: f64 = 0.0;
@@ -120,6 +121,7 @@ pub fn estimate_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autofl_device::store::ConditionsStore;
     use autofl_device::tier::DeviceTier;
 
     fn small_fleet() -> Fleet {

@@ -403,6 +403,15 @@ impl FleetStore {
         self.shards[s].eligible[j]
     }
 
+    /// Device `i`'s thermal throttle level in `[0, 1]` — the one lifecycle
+    /// field the cost model reads, overlaid onto the device's sampled
+    /// conditions.
+    #[inline]
+    pub fn throttle(&self, i: usize) -> f64 {
+        let (s, j) = self.locate(i);
+        self.shards[s].throttle[j]
+    }
+
     /// Per-shard availability bins as of the last
     /// [`FleetStore::begin_round`].
     pub fn bins(&self) -> Vec<ShardBin> {
@@ -534,7 +543,8 @@ impl FleetStore {
     }
 
     /// Overlays every device's thermal throttle level onto a sharded
-    /// conditions store so the cost model sees the governor's state.
+    /// conditions store so the cost model sees the governor's state —
+    /// the bulk form of [`FleetStore::throttle`].
     ///
     /// # Panics
     ///

@@ -36,7 +36,8 @@ use std::io::{self, Write};
 /// mid-experiment, and the run stops at the failing round (fail-fast — no
 /// further rounds execute once an observer errors).
 pub trait RoundObserver {
-    /// Called before the round's conditions are sampled.
+    /// Called before the round's cohort is dispatched: before fleet
+    /// check-in, selection and execution.
     fn on_round_start(&mut self, round: usize) -> io::Result<()> {
         let _ = round;
         Ok(())

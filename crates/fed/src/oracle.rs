@@ -17,6 +17,8 @@ use crate::selection::{top_k_by, RoundContext, SelectionDecision, Selector};
 use autofl_device::cost::{execute, ExecutionPlan};
 use autofl_device::dvfs::{DvfsTable, ExecutionTarget};
 use autofl_device::fleet::DeviceId;
+use autofl_device::scenario::DeviceConditions;
+use autofl_device::store::Conditions;
 use autofl_device::tier::DeviceTier;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -56,23 +58,26 @@ impl OracleSelector {
     /// than `k` devices from one tier, so the full-pool sort this used to
     /// do was wasted work at fleet scale. Ties (identical scores) keep
     /// the shuffled order, exactly as the previous stable sort did.
+    ///
+    /// Each ranked device comes with the conditions it was scored under,
+    /// so the rest of the decision need not read it again.
     fn rank_tier(
         ctx: &RoundContext<'_>,
         tier: DeviceTier,
         k: usize,
         rng: &mut SmallRng,
-    ) -> Vec<DeviceId> {
+    ) -> Vec<(DeviceId, DeviceConditions)> {
         let mut pool = ctx.eligible_ids_of_tier(tier);
         // Random tie-break order first (the paper randomises among equals
         // to avoid biased selection).
         pool.shuffle(rng);
         let classes = ctx.partition.num_classes() as f64;
-        let score = |id: &DeviceId| -> f64 {
+        let score = |id: &DeviceId, conditions: &DeviceConditions| -> f64 {
             let cost = execute(
                 tier,
                 ExecutionPlan::cpu_max(tier),
                 ctx.task_for(*id),
-                &ctx.conditions.get(id.0),
+                conditions,
             );
             let samples = ctx.partition.device_sample_count(id.0).max(1) as f64;
             let coverage = ctx.partition.num_classes_present(id.0) as f64 / classes;
@@ -83,22 +88,33 @@ impl OracleSelector {
             // data-starved non-IID devices; label skew adds client drift.
             cost.total_time_s() / samples * (1.0 + 2.0 * (1.0 - coverage) + skew)
         };
-        let mut scored: Vec<(DeviceId, f64, usize)> = pool
+        let mut scored: Vec<(DeviceId, f64, usize, DeviceConditions)> = pool
             .iter()
             .enumerate()
-            .map(|(pos, id)| (*id, score(id), pos))
+            .map(|(pos, id)| {
+                let conditions = ctx.conditions.get(id.0);
+                (*id, score(id, &conditions), pos, conditions)
+            })
             .collect();
         top_k_by(&mut scored, k, |a, b| {
             a.1.partial_cmp(&b.1)
                 .expect("finite scores")
                 .then_with(|| a.2.cmp(&b.2))
         });
-        scored.into_iter().map(|(id, _, _)| id).collect()
+        scored
+            .into_iter()
+            .map(|(id, _, _, conditions)| (id, conditions))
+            .collect()
     }
 
-    /// Picks the energy-minimal `(target, step)` whose completion stays
-    /// within `deadline_s`; falls back to CPU-max.
-    fn best_plan(ctx: &RoundContext<'_>, id: DeviceId, deadline_s: f64) -> ExecutionPlan {
+    /// Picks the energy-minimal `(target, step)` whose completion under
+    /// `conditions` stays within `deadline_s`; falls back to CPU-max.
+    fn best_plan(
+        ctx: &RoundContext<'_>,
+        id: DeviceId,
+        conditions: &DeviceConditions,
+        deadline_s: f64,
+    ) -> ExecutionPlan {
         let tier = ctx.fleet.device(id).tier();
         let task = ctx.task_for(id);
         let mut best = ExecutionPlan::cpu_max(tier);
@@ -110,7 +126,7 @@ impl OracleSelector {
                     target,
                     freq_step: step,
                 };
-                let cost = execute(tier, plan, task, &ctx.conditions.get(id.0));
+                let cost = execute(tier, plan, task, conditions);
                 if cost.total_time_s() <= deadline_s && cost.total_energy_j() < best_energy {
                     best_energy = cost.total_energy_j();
                     best = plan;
@@ -120,18 +136,13 @@ impl OracleSelector {
         if best_energy.is_infinite() {
             // Nothing meets the deadline; run as fast as possible on the
             // least-bad target.
-            let cpu = execute(
-                tier,
-                ExecutionPlan::cpu_max(tier),
-                task,
-                &ctx.conditions.get(id.0),
-            );
+            let cpu = execute(tier, ExecutionPlan::cpu_max(tier), task, conditions);
             let gpu_table = DvfsTable::for_tier(tier, ExecutionTarget::Gpu);
             let gpu_plan = ExecutionPlan {
                 target: ExecutionTarget::Gpu,
                 freq_step: gpu_table.num_steps(),
             };
-            let gpu = execute(tier, gpu_plan, task, &ctx.conditions.get(id.0));
+            let gpu = execute(tier, gpu_plan, task, conditions);
             if gpu.total_time_s() < cpu.total_time_s() {
                 return gpu_plan;
             }
@@ -143,10 +154,11 @@ impl OracleSelector {
 impl Selector for OracleSelector {
     fn select(&mut self, ctx: &RoundContext<'_>, rng: &mut SmallRng) -> SelectionDecision {
         let k = ctx.params.num_participants;
-        let ranked: Vec<(DeviceTier, Vec<DeviceId>)> = DeviceTier::all()
+        let ranked: Vec<(DeviceTier, Vec<(DeviceId, DeviceConditions)>)> = DeviceTier::all()
             .into_iter()
             .map(|t| (t, Self::rank_tier(ctx, t, k, rng)))
             .collect();
+        let known = RankedConditions::new(&ranked, ctx.conditions);
 
         // Evaluate every Table 4 composition with the best devices of each
         // tier and pick the one minimising estimated energy-to-converge.
@@ -164,7 +176,7 @@ impl Selector for OracleSelector {
                     .find(|(t, _)| *t == tier)
                     .expect("ranked all tiers")
                     .1;
-                participants.extend(pool.iter().copied().take(want));
+                participants.extend(pool.iter().take(want).map(|(id, _)| *id));
             }
             if participants.len() < k {
                 continue; // fleet cannot realise this composition
@@ -174,7 +186,7 @@ impl Selector for OracleSelector {
                 .map(|id| ExecutionPlan::cpu_max(ctx.fleet.device(*id).tier()))
                 .collect();
             let tasks: Vec<_> = participants.iter().map(|id| ctx.task_for(*id)).collect();
-            let est = estimate_round(ctx.fleet, &participants, &plans, &tasks, ctx.conditions);
+            let est = estimate_round(ctx.fleet, &participants, &plans, &tasks, &known);
             let ids: Vec<usize> = participants.iter().map(|id| id.0).collect();
             let coverage = ctx.partition.cohort_class_coverage(&ids);
             let divergence = ctx.partition.cohort_divergence(&ids);
@@ -215,21 +227,25 @@ impl Selector for OracleSelector {
         // O_FL: exploit straggler slack — the slowest CPU-max participant
         // sets the pace; everyone else slows down or switches target to
         // save energy while staying within that pace.
+        let conditions: Vec<DeviceConditions> =
+            participants.iter().map(|id| known.get(id.0)).collect();
         let pace = participants
             .iter()
-            .map(|id| {
+            .zip(&conditions)
+            .map(|(id, c)| {
                 execute(
                     ctx.fleet.device(*id).tier(),
                     ExecutionPlan::cpu_max(ctx.fleet.device(*id).tier()),
                     ctx.task_for(*id),
-                    &ctx.conditions.get(id.0),
+                    c,
                 )
                 .total_time_s()
             })
             .fold(0.0f64, f64::max);
         let plans: Vec<ExecutionPlan> = participants
             .iter()
-            .map(|id| Self::best_plan(ctx, *id, pace))
+            .zip(&conditions)
+            .map(|(id, c)| Self::best_plan(ctx, *id, c, pace))
             .collect();
         SelectionDecision {
             participants,
@@ -239,6 +255,44 @@ impl Selector for OracleSelector {
 
     fn name(&self) -> &'static str {
         self.label
+    }
+}
+
+/// The ranked candidates' conditions, kept from the ranking pass so one
+/// decision reads each device once: every read of the engine's view
+/// re-samples the device, and the compositions overlap. Any other device
+/// falls through to the round's view.
+#[derive(Debug)]
+struct RankedConditions<'a> {
+    /// `(raw id, conditions)`, sorted by id.
+    by_id: Vec<(usize, DeviceConditions)>,
+    round: &'a dyn Conditions,
+}
+
+impl<'a> RankedConditions<'a> {
+    fn new(
+        ranked: &[(DeviceTier, Vec<(DeviceId, DeviceConditions)>)],
+        round: &'a dyn Conditions,
+    ) -> Self {
+        let mut by_id: Vec<(usize, DeviceConditions)> = ranked
+            .iter()
+            .flat_map(|(_, pool)| pool.iter().map(|(id, c)| (id.0, *c)))
+            .collect();
+        by_id.sort_unstable_by_key(|(id, _)| *id);
+        RankedConditions { by_id, round }
+    }
+}
+
+impl Conditions for RankedConditions<'_> {
+    fn get(&self, i: usize) -> DeviceConditions {
+        match self.by_id.binary_search_by_key(&i, |(id, _)| *id) {
+            Ok(at) => self.by_id[at].1,
+            Err(_) => self.round.get(i),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.round.len()
     }
 }
 

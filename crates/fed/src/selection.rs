@@ -7,7 +7,7 @@ use crate::global::GlobalParams;
 use autofl_data::partition::Partition;
 use autofl_device::cost::{ExecutionPlan, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::store::ConditionsStore;
+use autofl_device::store::Conditions;
 use autofl_device::tier::DeviceTier;
 use autofl_nn::model::LayerCounts;
 use autofl_nn::zoo::Workload;
@@ -19,10 +19,11 @@ use std::cmp::Ordering;
 ///
 /// This mirrors the information the de-facto FL protocol already collects
 /// from devices (resource usage, network bandwidth, data-class counts) —
-/// footnote 3 of the paper. Per-device state is exposed through sharded
-/// structure-of-arrays stores rather than struct slices so the context
-/// stays cheap to build and walk at million-device fleet sizes (see
-/// `docs/scaling.md`).
+/// footnote 3 of the paper. Per-device state is exposed through views
+/// rather than struct slices so the context stays cheap to build at
+/// million-device fleet sizes: the engine's conditions view samples a
+/// device only when it is read, so a policy pays for the devices it
+/// inspects, not for the fleet (see `docs/scaling.md`).
 #[derive(Debug)]
 pub struct RoundContext<'a> {
     /// 0-based aggregation-round index.
@@ -30,8 +31,11 @@ pub struct RoundContext<'a> {
     /// The device fleet.
     pub fleet: &'a Fleet,
     /// Per-device runtime conditions this round, indexed by raw device
-    /// id ([`ConditionsStore::get`] materialises the struct view).
-    pub conditions: &'a ConditionsStore,
+    /// id, as devices report them to the server. In the engine each
+    /// [`Conditions::get`] samples the device on its own RNG stream, so
+    /// read a device once per decision and keep the value rather than
+    /// calling `get` again in an inner loop.
+    pub conditions: &'a dyn Conditions,
     /// Per-device availability this round (check-in eligibility, battery,
     /// thermal, sessions). All-ideal — with no backing storage — when the
     /// fleet-dynamics block is disabled.
@@ -360,6 +364,7 @@ mod tests {
     use super::*;
     use autofl_data::partition::DataDistribution;
     use autofl_data::FlData;
+    use autofl_device::store::ConditionsStore;
     use rand::{Rng, SeedableRng};
 
     fn context_fixture() -> (Fleet, FlData, GlobalParams, ConditionsStore) {
