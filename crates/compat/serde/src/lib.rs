@@ -146,6 +146,12 @@ pub fn field_or_null<'a>(value: &'a Value, name: &str) -> &'a Value {
     value.get(name).unwrap_or(&NULL)
 }
 
+/// Deserializes map field `name` of `value` (absent reads as `null`),
+/// with `name` prepended to any error's path.
+pub fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
+    T::from_value(field_or_null(value, name)).map_err(|e| e.at(name))
+}
+
 /// Wraps a data-carrying enum variant: `{ "Variant": payload }`.
 pub fn variant(name: &str, payload: Value) -> Value {
     Value::Map(vec![(name.to_string(), payload)])

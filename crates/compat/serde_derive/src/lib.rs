@@ -4,14 +4,17 @@
 //! implementations against the shim's `Value` data model — named-field
 //! structs become maps in declaration order, newtype structs are
 //! transparent, unit enum variants become strings and data-carrying
-//! variants become single-entry maps (serde's external tagging). The
-//! parser is hand-rolled over `proc_macro::TokenStream` (no `syn`), which
-//! covers every plain (non-generic) type in this workspace; generic items
-//! get no impl rather than a wrong one.
+//! variants become single-entry maps (serde's external tagging). One
+//! field attribute is supported: `#[serde(skip_serializing_if = "path")]`
+//! omits the field when `path(&field)` is true (absent fields read back
+//! as `null`, so `Option::is_none` round-trips). The parser is
+//! hand-rolled over `proc_macro::TokenStream` (no `syn`), which covers
+//! every plain (non-generic) type in this workspace; generic items and
+//! any other `serde` attribute get no impl rather than a wrong one.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Some(item) => gen_serialize(&item).parse().unwrap_or_default(),
@@ -19,7 +22,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Some(item) => gen_deserialize(&item).parse().unwrap_or_default(),
@@ -31,9 +34,15 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 // A minimal item model.
 // ---------------------------------------------------------------------------
 
+/// A named field and its `skip_serializing_if` predicate path, if any.
+struct Field {
+    name: String,
+    skip_if: Option<String>,
+}
+
 enum Fields {
     /// Named fields, in declaration order.
-    Named(Vec<String>),
+    Named(Vec<Field>),
     /// Tuple fields (arity only — the generated code never names types).
     Tuple(usize),
     /// No payload.
@@ -166,18 +175,26 @@ fn split_top_level(stream: TokenStream) -> Vec<Vec<TokenTree>> {
 }
 
 /// `#[attr] pub(crate) name: Type` → `name`, per top-level chunk.
-fn parse_named_fields(stream: TokenStream) -> Option<Vec<String>> {
+fn parse_named_fields(stream: TokenStream) -> Option<Vec<Field>> {
     split_top_level(stream)
         .into_iter()
-        .map(|chunk| field_name(&chunk))
+        .map(|chunk| parse_field(&chunk))
         .collect()
 }
 
-fn field_name(chunk: &[TokenTree]) -> Option<String> {
+fn parse_field(chunk: &[TokenTree]) -> Option<Field> {
+    let mut skip_if = None;
     let mut i = 0;
     while i < chunk.len() {
         match &chunk[i] {
-            TokenTree::Punct(p) if p.as_char() == '#' => i += 2, // attr group
+            TokenTree::Punct(p) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(attr)) = chunk.get(i + 1) {
+                    if let Some(path) = serde_attr(attr.stream())? {
+                        skip_if = Some(path);
+                    }
+                }
+                i += 2;
+            }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
                 i += 1;
                 if let Some(TokenTree::Group(_)) = chunk.get(i) {
@@ -187,7 +204,10 @@ fn field_name(chunk: &[TokenTree]) -> Option<String> {
             TokenTree::Ident(id) => {
                 // The field name is the ident right before the `:`.
                 return match chunk.get(i + 1) {
-                    Some(TokenTree::Punct(p)) if p.as_char() == ':' => Some(id.to_string()),
+                    Some(TokenTree::Punct(p)) if p.as_char() == ':' => Some(Field {
+                        name: id.to_string(),
+                        skip_if,
+                    }),
                     _ => None,
                 };
             }
@@ -195,6 +215,28 @@ fn field_name(chunk: &[TokenTree]) -> Option<String> {
         }
     }
     None
+}
+
+/// Reads one attribute body: `Some(None)` for a non-`serde` attribute,
+/// `Some(Some(path))` for `serde(skip_serializing_if = "path")`, and
+/// `None` for any other `serde` attribute.
+fn serde_attr(attr: TokenStream) -> Option<Option<String>> {
+    let tokens: Vec<TokenTree> = attr.into_iter().collect();
+    match tokens.as_slice() {
+        [TokenTree::Ident(id), TokenTree::Group(args)] if id.to_string() == "serde" => {
+            let args: Vec<TokenTree> = args.stream().into_iter().collect();
+            match args.as_slice() {
+                [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                    if key.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+                {
+                    let path = path.to_string();
+                    Some(Some(path.strip_prefix('"')?.strip_suffix('"')?.to_string()))
+                }
+                _ => None,
+            }
+        }
+        _ => Some(None),
+    }
 }
 
 fn count_tuple_fields(stream: TokenStream) -> usize {
@@ -237,30 +279,35 @@ fn parse_variants(stream: TokenStream) -> Option<Vec<Variant>> {
 // Code generation.
 // ---------------------------------------------------------------------------
 
-/// `{ "field": to_value(&<prefix>field), ... }` map construction.
-fn ser_named(fields: &[String], prefix: &str) -> String {
-    let entries: Vec<String> = fields
+/// `{ "field": to_value(<prefix>field), ... }` map construction, where
+/// `<prefix>field` is a reference to the field; skippable fields are
+/// pushed only when their predicate is false.
+fn ser_named(fields: &[Field], prefix: &str) -> String {
+    let pushes: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!(
-                "(::std::string::String::from(\"{f}\"), \
-                 serde::Serialize::to_value(&{prefix}{f}))"
-            )
+        .map(|Field { name: f, skip_if }| {
+            let push = format!(
+                "fields.push((::std::string::String::from(\"{f}\"), \
+                 serde::Serialize::to_value({prefix}{f})));"
+            );
+            match skip_if {
+                Some(path) => format!("if !{path}({prefix}{f}) {{ {push} }}"),
+                None => push,
+            }
         })
         .collect();
-    format!("serde::Value::Map(::std::vec![{}])", entries.join(", "))
+    format!(
+        "{{ let mut fields = ::std::vec::Vec::with_capacity({}); {} serde::Value::Map(fields) }}",
+        fields.len(),
+        pushes.join(" ")
+    )
 }
 
 /// Field-by-field struct-literal body for deserialization.
-fn de_named(fields: &[String], ty_path: &str, source: &str) -> String {
+fn de_named(fields: &[Field], ty_path: &str, source: &str) -> String {
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!(
-                "{f}: serde::Deserialize::from_value(serde::field_or_null({source}, \"{f}\"))\
-                 .map_err(|e| e.at(\"{f}\"))?"
-            )
-        })
+        .map(|Field { name: f, .. }| format!("{f}: serde::field({source}, \"{f}\")?"))
         .collect();
     format!("{ty_path} {{ {} }}", inits.join(", "))
 }
@@ -269,7 +316,7 @@ fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Named(fs) => ser_named(fs, "self."),
+                Fields::Named(fs) => ser_named(fs, "&self."),
                 Fields::Tuple(1) => "serde::Serialize::to_value(&self.0)".to_string(),
                 Fields::Tuple(n) => {
                     let items: Vec<String> = (0..*n)
@@ -310,9 +357,10 @@ fn gen_serialize(item: &Item) -> String {
                         }
                         Fields::Named(fs) => {
                             let map = ser_named(fs, "");
+                            let binds: Vec<&str> = fs.iter().map(|f| f.name.as_str()).collect();
                             format!(
                                 "{name}::{vn} {{ {} }} => serde::variant(\"{vn}\", {map}),",
-                                fs.join(", ")
+                                binds.join(", ")
                             )
                         }
                     }

@@ -135,12 +135,9 @@ impl Deserialize for QTable {
         let mut entries = HashMap::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
             let in_row = |e: serde::Error| e.at(&format!("rows[{i}]"));
-            let g = GlobalState::from_value(serde::field_or_null(row, "g"))
-                .map_err(|e| in_row(e.at("g")))?;
-            let l = LocalState::from_value(serde::field_or_null(row, "l"))
-                .map_err(|e| in_row(e.at("l")))?;
-            let q = Vec::<f64>::from_value(serde::field_or_null(row, "q"))
-                .map_err(|e| in_row(e.at("q")))?;
+            let g = serde::field::<GlobalState>(row, "g").map_err(in_row)?;
+            let l = serde::field::<LocalState>(row, "l").map_err(in_row)?;
+            let q = serde::field::<Vec<f64>>(row, "q").map_err(in_row)?;
             if q.len() != Action::COUNT {
                 return Err(in_row(serde::Error::custom(format!(
                     "Q row holds {} values but the action space has {}",
@@ -150,8 +147,7 @@ impl Deserialize for QTable {
             }
             entries.insert((g, l), q);
         }
-        let words =
-            Vec::<u64>::from_value(serde::field_or_null(value, "rng")).map_err(|e| e.at("rng"))?;
+        let words = serde::field::<Vec<u64>>(value, "rng")?;
         let state: [u64; 4] = words.try_into().map_err(|w: Vec<u64>| {
             serde::Error::custom(format!("rng state needs 4 words, found {}", w.len())).at("rng")
         })?;
@@ -251,12 +247,9 @@ impl Serialize for QTableSet {
 
 impl Deserialize for QTableSet {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let sharing = QSharing::from_value(serde::field_or_null(value, "sharing"))
-            .map_err(|e| e.at("sharing"))?;
-        let tables = Vec::<QTable>::from_value(serde::field_or_null(value, "tables"))
-            .map_err(|e| e.at("tables"))?;
-        let index = Vec::<usize>::from_value(serde::field_or_null(value, "index"))
-            .map_err(|e| e.at("index"))?;
+        let sharing = serde::field::<QSharing>(value, "sharing")?;
+        let tables = serde::field::<Vec<QTable>>(value, "tables")?;
+        let index = serde::field::<Vec<usize>>(value, "index")?;
         if let Some(bad) = index.iter().find(|&&i| i >= tables.len()) {
             return Err(serde::Error::custom(format!(
                 "device maps to table {bad} but only {} tables exist",

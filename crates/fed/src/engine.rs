@@ -7,15 +7,16 @@ use crate::accuracy::{
 use crate::adversary::{adv_stream, AdversaryConfig, AdversaryRole};
 use crate::algorithms::AggregationAlgorithm;
 use crate::estimate::participant_costs;
-use crate::fabric::{NetworkFabric, RoundNetStats, UpdateCodec};
+use crate::fabric::{NetworkFabric, RoundNetStats};
 use crate::fleet::{AvailabilityView, FleetDynamics, FleetStore, ShardBin, StragglerPolicy};
 use crate::global::GlobalParams;
 use crate::selection::{RoundContext, RoundFeedback, SelectionDecision, Selector};
 use autofl_data::partition::DataDistribution;
 use autofl_data::FlData;
-use autofl_device::cost::{ExecutionPlan, TrainingTask};
+use autofl_device::cost::{ExecutionPlan, RoundCost, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
 use autofl_device::idle_energy_j;
+use autofl_device::network::SignalStrength;
 use autofl_device::scenario::{DeviceConditions, VarianceScenario};
 use autofl_device::store::Conditions;
 use autofl_device::tier::DeviceTier;
@@ -182,14 +183,13 @@ impl SimConfig {
 
 /// Everything measured in one aggregation round.
 ///
-/// Serialization is hand-written (not derived) with one quirk: the
-/// opt-in subsystem fields — `net` (network fabric) and
+/// The opt-in subsystem fields — `net` (network fabric) and
 /// `adversarial`/`flagged` (adversary roles) — are *omitted*, not
 /// `null`, when their subsystem is off, so subsystem-less round traces
 /// stay byte-identical to earlier releases (pinned by the golden
 /// `smoke_trace.jsonl`). Absent fields deserialize to `None`, so older
 /// traces keep loading.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: usize,
@@ -231,85 +231,20 @@ pub struct RoundRecord {
     pub mean_staleness: f64,
     /// Network-fabric accounting (bytes, drops, partitions). `Some` iff
     /// [`SimConfig::network`] is attached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub net: Option<RoundNetStats>,
     /// Number of *adversarial* devices (any non-honest role) among this
     /// round's participants. `Some` iff [`SimConfig::adversary`] is
-    /// attached; omitted from serialized records when `None`, so
-    /// adversary-less traces stay byte-identical to earlier releases.
+    /// attached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adversarial: Option<usize>,
     /// Number of adversarial updates the server-side defenses neutralised
     /// this round: free-riders' zero-mass updates always count; poisoners
     /// and scalers count iff the configured aggregator has positive
     /// [`AggregationAlgorithm::poison_robustness`]. `Some` iff
-    /// [`SimConfig::adversary`] is attached; omitted when `None`.
+    /// [`SimConfig::adversary`] is attached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub flagged: Option<usize>,
-}
-
-impl Serialize for RoundRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("round".to_string(), self.round.to_value()),
-            ("participants".to_string(), self.participants.to_value()),
-            ("plans".to_string(), self.plans.to_value()),
-            ("round_time_s".to_string(), self.round_time_s.to_value()),
-            (
-                "active_energy_j".to_string(),
-                self.active_energy_j.to_value(),
-            ),
-            ("idle_energy_j".to_string(), self.idle_energy_j.to_value()),
-            ("accuracy".to_string(), self.accuracy.to_value()),
-            ("dropped".to_string(), self.dropped.to_value()),
-            (
-                "update_fractions".to_string(),
-                self.update_fractions.to_value(),
-            ),
-            ("dropouts".to_string(), self.dropouts.to_value()),
-            ("ineligible".to_string(), self.ineligible.to_value()),
-            (
-                "dispatch_time_s".to_string(),
-                self.dispatch_time_s.to_value(),
-            ),
-            ("logical_time_s".to_string(), self.logical_time_s.to_value()),
-            ("mean_staleness".to_string(), self.mean_staleness.to_value()),
-        ];
-        if let Some(net) = &self.net {
-            fields.push(("net".to_string(), net.to_value()));
-        }
-        if let Some(adversarial) = &self.adversarial {
-            fields.push(("adversarial".to_string(), adversarial.to_value()));
-        }
-        if let Some(flagged) = &self.flagged {
-            fields.push(("flagged".to_string(), flagged.to_value()));
-        }
-        serde::Value::Map(fields)
-    }
-}
-
-impl Deserialize for RoundRecord {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
-        Ok(RoundRecord {
-            round: field(value, "round")?,
-            participants: field(value, "participants")?,
-            plans: field(value, "plans")?,
-            round_time_s: field(value, "round_time_s")?,
-            active_energy_j: field(value, "active_energy_j")?,
-            idle_energy_j: field(value, "idle_energy_j")?,
-            accuracy: field(value, "accuracy")?,
-            dropped: field(value, "dropped")?,
-            update_fractions: field(value, "update_fractions")?,
-            dropouts: field(value, "dropouts")?,
-            ineligible: field(value, "ineligible")?,
-            dispatch_time_s: field(value, "dispatch_time_s")?,
-            logical_time_s: field(value, "logical_time_s")?,
-            mean_staleness: field(value, "mean_staleness")?,
-            net: field(value, "net")?,
-            adversarial: field(value, "adversarial")?,
-            flagged: field(value, "flagged")?,
-        })
-    }
 }
 
 impl RoundRecord {
@@ -438,16 +373,12 @@ impl SimResult {
 /// returned [`RoundRecord`].
 #[derive(Debug, Default)]
 struct RoundScratch {
-    /// Per-participant training tasks.
-    tasks: Vec<TrainingTask>,
     /// Fleet-sized participant membership mask.
     is_participant: Vec<bool>,
     /// Per-device tiers, one byte-sized entry per device in fleet order.
     /// Filled once on first use: the idle-energy scan walks this compact
     /// array instead of re-reading whole `Device` structs every round.
     tiers: Vec<DeviceTier>,
-    /// Sort buffer for the median.
-    median: Vec<f64>,
     /// Fleet-sized reachability mask under active network partitions
     /// (eligible *and* not partitioned). Only touched when a fabric with
     /// an active partition rule is attached.
@@ -455,9 +386,6 @@ struct RoundScratch {
     /// Shard bins with per-bin eligible counts recomputed under the
     /// partition mask, backing [`AvailabilityView::Masked`].
     masked_bins: Vec<ShardBin>,
-    /// Per-participant adversary roles, in participant order. Only
-    /// touched when an adversary config is attached.
-    roles: Vec<AdversaryRole>,
 }
 
 /// One round's per-device runtime conditions, sampled when read.
@@ -595,6 +523,61 @@ impl DispatchOutcome {
             .enumerate()
             .filter(|(_, (_, &f))| f > 0.0)
             .map(|(slot, (&id, &f))| (slot, id, f))
+    }
+}
+
+/// A selected cohort on its way from selection to accounting, one entry
+/// per participant: tasks at the codec's upload size, and roles
+/// (`Honest` for all without an adversary).
+struct Cohort {
+    participants: Vec<DeviceId>,
+    plans: Vec<ExecutionPlan>,
+    tasks: Vec<TrainingTask>,
+    roles: Vec<AdversaryRole>,
+}
+
+/// What became of one participant this round. A cohort's update
+/// fractions, energies, straggler and dropout lists, byte counts and
+/// flagged count all derive from its fates; the checkpointed
+/// [`DispatchOutcome`] holds only what derives from them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    /// Finished within the deadline: full update, full energy.
+    Survived,
+    /// A straggler under a partial-update algorithm: submits this
+    /// fraction of its work, done by the deadline, at that energy share.
+    Partial(f64),
+    /// A straggler cut at the deadline: no update, this energy share.
+    Cut(f64),
+    /// Vanished mid-round (battery death or churn) after this fraction of
+    /// its round: no update, energy until it vanished.
+    DroppedOut(f64),
+    /// Transmitted, but the fabric lost the upload: no update, full energy.
+    Lost,
+}
+
+impl Fate {
+    /// The share of nominal work the participant's update represents.
+    fn update_fraction(self) -> f64 {
+        match self {
+            Fate::Survived => 1.0,
+            Fate::Partial(fraction) => fraction,
+            Fate::Cut(_) | Fate::DroppedOut(_) | Fate::Lost => 0.0,
+        }
+    }
+
+    /// The active energy burned (Eq. 5, selected branch): the full-round
+    /// energy — communication only for a free-rider, which burned no
+    /// compute — times the share of the round the fate let it work.
+    fn energy_j(self, role: AdversaryRole, cost: &RoundCost) -> f64 {
+        let full = match role {
+            AdversaryRole::FreeRider => cost.comm_energy_j,
+            _ => cost.total_energy_j(),
+        };
+        full * match self {
+            Fate::Survived | Fate::Lost => 1.0,
+            Fate::Partial(share) | Fate::Cut(share) | Fate::DroppedOut(share) => share,
+        }
     }
 }
 
@@ -883,102 +866,101 @@ impl Simulation {
     /// immediately and the event-driven runtime (`crate::runtime`)
     /// defers to scheduled events. Both call this in strictly increasing
     /// dispatch order, so the sequential engine RNG consumes draws
-    /// identically.
+    /// identically. The phases: `check_in`, `select`, `execute`,
+    /// `resolve_fates` (one [`Fate`] per participant), then accounting
+    /// that derives every outcome list from the fates.
     pub(crate) fn dispatch_round(
         &mut self,
         selector: &mut dyn Selector,
         round: usize,
-        mut shadow: Option<&mut dyn Selector>,
+        shadow: Option<&mut dyn Selector>,
     ) -> (DispatchOutcome, Option<SelectionDecision>) {
-        // 0. Fleet dynamics: evolve per-device lifecycle sessions
-        // (charging, foreground, connectivity) shard-parallel and refresh
-        // the stored availability. Disabled dynamics report every device
-        // as ideal through a storage-free view, reproducing the static
-        // fleet bit for bit.
-        let ineligible = match (&self.config.fleet, &mut self.fleet_state) {
+        let ineligible = self.check_in(round);
+        let prev_accuracy = self.engine.accuracy();
+        // The uplink carries the *encoded* update, so the communication
+        // path (Eq. 3) prices the exact encoded byte count and compression
+        // savings flow into PPW.
+        let codec = self.config.network.as_ref().map(|f| f.build_codec());
+        let model_params = (self.config.workload.reference_model_bytes() / 4) as usize;
+        let encoded_bytes = codec.as_ref().map(|c| c.encoded_bytes(model_params, round));
+        let (cohort, partitioned, shadow_decision) =
+            self.select(selector, shadow, round, prev_accuracy, encoded_bytes);
+        let (costs, mut completion, lost) = self.execute(round, &cohort);
+        let fates = self.resolve_fates(round, &cohort, &costs, &mut completion, &lost);
+        let per_participant_energy: Vec<f64> = (0..fates.len())
+            .map(|i| fates[i].energy_j(cohort.roles[i], &costs[i]))
+            .collect();
+        let with_fate = |keep: fn(&Fate) -> bool| -> Vec<DeviceId> {
+            let slots = cohort.participants.iter().zip(&fates);
+            slots.filter(|(_, f)| keep(f)).map(|(&id, _)| id).collect()
+        };
+        // Mid-round dropouts first, then lost uploads, each in participant
+        // order.
+        let mut dropouts = with_fate(|f| matches!(f, Fate::DroppedOut(_)));
+        dropouts.extend(with_fate(|f| *f == Fate::Lost));
+        let net = encoded_bytes.map(|bytes| self.net_stats(bytes, &fates, partitioned));
+        let (adversarial, flagged) = self.adversary_counts(&cohort.roles, &fates);
+        let outcome = DispatchOutcome {
+            ineligible: ineligible + partitioned,
+            prev_accuracy,
+            dropped: with_fate(|f| matches!(f, Fate::Cut(_))),
+            fractions: fates.iter().map(|f| f.update_fraction()).collect(),
+            round_time_s: completion.iter().copied().fold(0.0, f64::max).max(1e-9),
+            // Summed in participant order (never first-come), so the
+            // total is bit-identical at any thread count upstream.
+            active_energy_j: per_participant_energy.iter().fold(0.0, |sum, e| sum + e),
+            codec_fidelity: codec.as_ref().map_or(1.0, |c| c.fidelity(round)),
+            participants: cohort.participants,
+            plans: cohort.plans,
+            completion,
+            per_participant_energy,
+            dropouts,
+            net,
+            adversarial,
+            flagged,
+        };
+        (outcome, shadow_decision)
+    }
+
+    /// Lifecycle check-in: evolves every device's session (charging,
+    /// foreground, connectivity) and refreshes its stored availability.
+    /// Returns how many devices failed check-in; 0 on a static fleet.
+    fn check_in(&mut self, round: usize) -> usize {
+        match (&self.config.fleet, &mut self.fleet_state) {
             (Some(dynamics), Some(store)) => store.begin_round(dynamics, &self.fleet, round),
             _ => 0,
-        };
+        }
+    }
 
-        // 1. Runtime conditions, sampled on demand: reading device `i`
-        // draws from its own RNG stream derived from (seed, round, id) and
-        // overlays the lifecycle store's throttle, so a value is
-        // independent of thread count, shard count and read order, and
-        // the round pays only for the devices it reads. Faulty sensors
-        // lie to the server: selection (and through it the AutoFL state
-        // bins) reads the `reported` view, while the true conditions keep
-        // driving cost execution below.
-        let truth =
-            RoundConditions::new(&self.config, &self.fleet, self.fleet_state.as_ref(), round);
-        let reported = truth.reported();
-        let base_availability = match &self.fleet_state {
-            Some(store) => AvailabilityView::Dynamic(store),
-            None => AvailabilityView::Ideal {
-                devices: self.fleet.len(),
-            },
-        };
-        // 1b. Scripted network partitions: devices inside an active rule
-        // cannot reach the server this round, so they fail check-in on
-        // top of whatever the fleet dynamics decided. Rounds without an
-        // active rule (and every run without a fabric) use the base view
-        // untouched — no mask is built, no allocation happens.
-        let partition_active = self
-            .config
-            .network
-            .as_ref()
-            .is_some_and(|f| f.partitions.is_active(round));
-        let mut partitioned = 0usize;
-        let availability = if partition_active {
-            let fabric = self.config.network.as_ref().expect("partition_active");
-            self.scratch.reachable.clear();
-            self.scratch.reachable.resize(self.fleet.len(), false);
-            self.scratch.masked_bins.clear();
-            self.scratch.masked_bins.extend(base_availability.bins());
-            let mut count = 0usize;
-            for bin in &mut self.scratch.masked_bins {
-                let mut eligible_in_bin = 0usize;
-                for j in 0..bin.len {
-                    let id = bin.offset + j;
-                    let ok = base_availability.is_eligible(id)
-                        && !fabric.partitions.unreachable(round, id);
-                    self.scratch.reachable[id] = ok;
-                    eligible_in_bin += ok as usize;
-                }
-                bin.eligible = eligible_in_bin;
-                count += eligible_in_bin;
-            }
-            partitioned = base_availability.eligible_count() - count;
-            AvailabilityView::Masked {
-                eligible: &self.scratch.reachable,
-                bins: &self.scratch.masked_bins,
-                count,
-                store: self.fleet_state.as_ref(),
-            }
-        } else {
-            base_availability
-        };
-
-        // 2. Ask the policy for participants + execution plans. Under
-        // OverSelect the context advertises K + extra so every policy
-        // over-provisions without knowing about the straggler layer.
-        // The advertisement is clamped to the round's *eligible* pool:
-        // validation already rejects K + extra > N, so the fleet size
-        // never binds, but under dynamics fewer than K + extra devices
-        // may have checked in — advertising more than the pool holds
-        // would promise a cohort no policy can realise (and skew
-        // learning selectors that scale rewards by the advertised K).
-        let prev_accuracy = self.engine.accuracy();
-        let params = match self.config.fleet.as_ref().map(|f| f.straggler) {
-            Some(StragglerPolicy::OverSelect { extra }) => {
-                let mut p = self.config.params;
-                p.num_participants = p
-                    .num_participants
-                    .saturating_add(extra)
-                    .min(availability.eligible_count());
-                p
-            }
-            _ => self.config.params,
-        };
+    /// Selection over the partition-masked pool ([`reachable_pool`]) and
+    /// the conditions devices *report* — faulty sensors lie to the server,
+    /// while the true conditions drive `execute`. Returns the cohort with
+    /// its tasks (uploading `encoded_bytes` under a codec) and roles, the
+    /// devices partitions made unreachable, and the shadow's decision.
+    fn select(
+        &mut self,
+        selector: &mut dyn Selector,
+        shadow: Option<&mut dyn Selector>,
+        round: usize,
+        prev_accuracy: f64,
+        encoded_bytes: Option<u64>,
+    ) -> (Cohort, usize, Option<SelectionDecision>) {
+        let (config, store) = (&self.config, self.fleet_state.as_ref());
+        let devices = self.fleet.len();
+        let (availability, partitioned) =
+            reachable_pool(config, devices, store, &mut self.scratch, round);
+        // Under OverSelect the context advertises K + extra, so every
+        // policy over-provisions without knowing about the straggler
+        // layer — clamped to the round's eligible pool: under dynamics
+        // fewer than K + extra devices may have checked in.
+        let mut params = config.params;
+        if let Some(StragglerPolicy::OverSelect { extra }) =
+            config.fleet.as_ref().map(|f| f.straggler)
+        {
+            params.num_participants =
+                (params.num_participants.saturating_add(extra)).min(availability.eligible_count());
+        }
+        let reported = RoundConditions::new(config, &self.fleet, store, round).reported();
         let ctx = RoundContext {
             round,
             fleet: &self.fleet,
@@ -986,8 +968,8 @@ impl Simulation {
             availability,
             partition: &self.data.partition,
             params: &params,
-            workload: self.config.workload,
-            layer_counts: self.config.workload.reference_layer_counts(),
+            workload: config.workload,
+            layer_counts: config.workload.reference_layer_counts(),
             prev_accuracy,
         };
         let SelectionDecision {
@@ -999,263 +981,159 @@ impl Simulation {
         // cohort outlives the round in its record, so drop the excess
         // capacity instead of keeping a fleet-sized buffer per record.
         participants.shrink_to_fit();
-        // Per-participant adversary roles — a pure function of
-        // `(seed, device)`, so any thread or shard count computes the
-        // same assignment. Empty (and never read) without an adversary.
-        self.scratch.roles.clear();
-        if let Some(adv) = &self.config.adversary {
-            self.scratch.roles.extend(
-                participants
-                    .iter()
-                    .map(|id| adv.role_of(self.config.seed, id.0)),
-            );
-        }
-        let shadow_decision = shadow.as_mut().map(|s| {
-            // The shadow gets its own tagged RNG stream (TAG_SHADOW in
-            // the (seed, tag, round, id) discipline of
-            // docs/determinism.md) so it cannot perturb the main run's
-            // determinism and never collides with another stream across
-            // (seed, round) pairs.
-            let mut shadow_rng =
-                SmallRng::seed_from_u64(crate::fleet::shadow_stream_seed(self.config.seed, round));
-            s.select(&ctx, &mut shadow_rng)
+        // The shadow draws from its own tagged stream (TAG_SHADOW in
+        // docs/determinism.md), so it cannot perturb the main run.
+        let shadow_decision = shadow.map(|s| {
+            let seed = crate::fleet::shadow_stream_seed(config.seed, round);
+            s.select(&ctx, &mut SmallRng::seed_from_u64(seed))
         });
-        // Task construction is two field reads per participant; the heavy
-        // per-device work (cost execution) fans out inside estimate_round.
-        self.scratch.tasks.clear();
-        self.scratch
-            .tasks
-            .extend(participants.iter().map(|id| ctx.task_for(*id)));
-        // 2b. Fabric codec: the uplink carries the *encoded* update, so
-        // the communication time/energy path (Eq. 3) prices the exact
-        // encoded byte count and compression savings flow into PPW.
-        let codec: Option<Box<dyn UpdateCodec>> =
-            self.config.network.as_ref().map(|f| f.build_codec());
-        let model_params = (self.config.workload.reference_model_bytes() / 4) as usize;
-        let encoded_bytes = codec.as_ref().map(|c| c.encoded_bytes(model_params, round));
-        let codec_fidelity = codec.as_ref().map_or(1.0, |c| c.fidelity(round));
-        if let Some(bytes) = encoded_bytes {
-            for task in &mut self.scratch.tasks {
-                task.upload_bytes = bytes;
+        let task_of = |&id: &DeviceId| {
+            let task = ctx.task_for(id);
+            let upload_bytes = encoded_bytes.unwrap_or(task.upload_bytes);
+            TrainingTask {
+                upload_bytes,
+                ..task
             }
-        }
+        };
+        // A role is a pure function of `(seed, device)`, so every thread
+        // and shard count agrees; `Honest` for all without an adversary.
+        let role_of = |id: &DeviceId| {
+            let adversary = config.adversary.as_ref();
+            adversary.map_or(AdversaryRole::Honest, |a| a.role_of(config.seed, id.0))
+        };
+        let cohort = Cohort {
+            tasks: participants.iter().map(task_of).collect(),
+            roles: participants.iter().map(role_of).collect(),
+            participants,
+            plans,
+        };
+        (cohort, partitioned, shadow_decision)
+    }
 
-        // 3. Execute: per-device costs (parallel fan-out), straggler
-        // deadline, drops/partials. The engine reduces times and energies
-        // itself with deadline clamping, so it asks only for the
-        // per-participant costs — not estimate_round's idle sweep.
+    /// Cost execution under the true conditions: each participant's cost
+    /// (fanned out in parallel) and projected completion time —
+    /// communication only for a free-rider, which skips training — plus
+    /// the fabric link's latency, drawn on the `(seed, TAG_NET, round,
+    /// id)` stream before the deadline median so a slow link makes a
+    /// straggler as slow compute does. Also returns the link's loss coins.
+    fn execute(&self, round: usize, cohort: &Cohort) -> (Vec<RoundCost>, Vec<f64>, Vec<bool>) {
+        let truth =
+            RoundConditions::new(&self.config, &self.fleet, self.fleet_state.as_ref(), round);
+        let participants = &cohort.participants;
         let costs = participant_costs(
             &self.fleet,
-            &participants,
-            &plans,
-            &self.scratch.tasks,
+            participants,
+            &cohort.plans,
+            &cohort.tasks,
             &truth,
         );
-        let mut completion: Vec<f64> = costs.iter().map(|c| c.total_time_s()).collect();
-        // 3a. Free-riders skip local training entirely: their round is
-        // pure communication (they still download the model and upload a
-        // zero-work update), so their completion time — and, in step 4,
-        // their energy — is comm-only. Applied before the link-latency
-        // draw and the deadline median, exactly like fast compute.
-        if self.config.adversary.is_some() {
-            for (i, c) in completion.iter_mut().enumerate() {
-                if self.scratch.roles[i] == AdversaryRole::FreeRider {
-                    *c = costs[i].comm_time_s;
-                }
-            }
-        }
-        // 3b. Fabric link: per-participant latency and loss drawn on the
-        // tagged `(seed, TAG_NET, round, id)` streams of
-        // `docs/determinism.md`. Latency lands in the completion time
-        // *before* the median, so a slow link makes a straggler exactly
-        // like slow compute does; the loss coin is applied after the
-        // mid-round dropouts below.
-        let mut net_lost: Vec<bool> = Vec::new();
-        if let Some(fabric) = self.config.network.as_ref() {
-            net_lost.resize(participants.len(), false);
-            for (i, id) in participants.iter().enumerate() {
+        let mut lost = vec![false; costs.len()];
+        let mut completion = Vec::with_capacity(costs.len());
+        for (i, (id, cost)) in participants.iter().zip(&costs).enumerate() {
+            let mut time_s = match cohort.roles[i] {
+                AdversaryRole::FreeRider => cost.comm_time_s,
+                _ => cost.total_time_s(),
+            };
+            if let Some(fabric) = &self.config.network {
+                let weak = truth.get(id.0).network.signal == SignalStrength::Weak;
                 let mut link_rng = crate::fabric::net_stream(self.config.seed, round, id.0);
-                let weak =
-                    truth.get(id.0).network.signal == autofl_device::network::SignalStrength::Weak;
                 let draw = fabric
                     .link
                     .draw(self.fleet.device(*id).tier(), weak, &mut link_rng);
-                completion[i] += draw.latency_s;
-                net_lost[i] = draw.dropped;
+                time_s += draw.latency_s;
+                lost[i] = draw.dropped;
             }
+            completion.push(time_s);
         }
-        // The deadline is *projected*: the median of the completion times
-        // the server estimates at dispatch, before any mid-round dropout
-        // truncates a device's actual runtime. This is deliberate — a
-        // real server sets the round deadline when it hands out work and
-        // cannot foresee that a device will die at 10% of the round, so
-        // a dropout still contributes its full projected time to the
-        // median. Pinned by `deadline_is_projected_not_truncated_by_dropouts`.
-        let mut deadline = median_into(&mut self.scratch.median, &completion)
-            * self.config.straggler_deadline_factor;
+        (costs, completion, lost)
+    }
+
+    /// Deadline and fate. The straggler deadline is the median completion
+    /// time *projected* at dispatch × the deadline factor (× the grace of
+    /// bounded waiting): a server sets it when it hands out work and
+    /// cannot foresee that a device will die mid-round, so a dropout
+    /// still counts its full projected time (pinned by
+    /// `deadline_is_projected_not_truncated_by_dropouts`). A mid-round
+    /// dropout decides a fate first (a device that died never sent, so
+    /// its loss coin is moot), then a lost upload, then the deadline;
+    /// each completion time is clamped to the time actually spent.
+    fn resolve_fates(
+        &self,
+        round: usize,
+        cohort: &Cohort,
+        costs: &[RoundCost],
+        completion: &mut [f64],
+        lost: &[bool],
+    ) -> Vec<Fate> {
+        let mut deadline = median(completion) * self.config.straggler_deadline_factor;
         if let Some(StragglerPolicy::WaitBounded { grace }) =
             self.config.fleet.as_ref().map(|f| f.straggler)
         {
-            // Bounded waiting: the server holds the round open longer
-            // before cutting stragglers.
             deadline *= grace;
         }
         let accepts_partial = self.config.algorithm.accepts_partial_updates();
-        let mut dropped = Vec::new();
-        let mut dropouts = Vec::new();
-        let mut fractions = vec![1.0f64; participants.len()];
-        // Share of the full-round energy each participant actually burned
-        // (1.0 unless it left early or was cut at the deadline).
-        let mut energy_shares = vec![1.0f64; participants.len()];
-        let mut is_dropout = vec![false; participants.len()];
-        // (a) Mid-round dropouts: battery death or connectivity churn
-        // removes the update entirely; the device still burned energy for
-        // the fraction of the round it survived.
-        if let (Some(dynamics), Some(state)) = (&self.config.fleet, &self.fleet_state) {
-            for i in 0..participants.len() {
-                if let Some(frac) = state.mid_round_dropout(
-                    dynamics,
-                    &self.fleet,
-                    round,
-                    participants[i],
-                    costs[i].total_energy_j(),
-                ) {
-                    fractions[i] = 0.0;
-                    energy_shares[i] = frac;
-                    completion[i] *= frac;
-                    is_dropout[i] = true;
-                    dropouts.push(participants[i]);
-                }
-            }
-        }
-        // (c) Fabric message loss: the device trained and transmitted —
-        // full energy, full completion time — but its upload was lost on
-        // the wire, so it contributes no update. Routed through the
-        // dropout path so downstream accounting (records, feedback,
-        // lifecycle) needs no new case; devices that already died
-        // mid-round never transmitted, so their loss coin is moot.
-        let mut net_drops = 0usize;
-        for i in 0..net_lost.len() {
-            if net_lost[i] && !is_dropout[i] {
-                fractions[i] = 0.0;
-                is_dropout[i] = true;
-                dropouts.push(participants[i]);
-                net_drops += 1;
-            } else {
-                net_lost[i] = false;
-            }
-        }
-        // (b) Straggler deadline over the devices that are still there.
-        for i in 0..completion.len() {
-            if is_dropout[i] {
-                // A dropout never gates the round past the deadline.
-                completion[i] = completion[i].min(deadline);
-                continue;
-            }
+        let dynamics = self.config.fleet.as_ref().zip(self.fleet_state.as_ref());
+        let mut fates = Vec::with_capacity(completion.len());
+        for (i, &id) in cohort.participants.iter().enumerate() {
+            let energy_j = costs[i].total_energy_j();
+            let dropout = dynamics.and_then(|(d, store)| {
+                store.mid_round_dropout(d, &self.fleet, round, id, energy_j)
+            });
             let t = completion[i];
-            if t > deadline {
-                if accepts_partial {
-                    // Straggler submits whatever fraction of local steps it
-                    // finished before the deadline (communication still
-                    // happens, modelled inside the fraction).
-                    fractions[i] = (deadline / t).clamp(0.05, 1.0);
-                    completion[i] = deadline;
-                    energy_shares[i] = fractions[i];
-                } else {
-                    fractions[i] = 0.0;
-                    dropped.push(participants[i]);
-                    completion[i] = deadline; // it burned energy until cut off
-                    energy_shares[i] = (deadline / t).clamp(0.0, 1.0);
+            let (fate, spent_s) = match dropout {
+                Some(frac) => (Fate::DroppedOut(frac), (t * frac).min(deadline)),
+                None if lost[i] => (Fate::Lost, t.min(deadline)),
+                None if t > deadline && accepts_partial => {
+                    (Fate::Partial((deadline / t).clamp(0.05, 1.0)), deadline)
                 }
-            }
-        }
-        let round_time_s = completion.iter().copied().fold(0.0, f64::max).max(1e-9);
-
-        // 4. Active-energy accounting: participants pay active energy
-        // scaled by the share of work they performed (Eq. 5 selected
-        // branch). Summed in participant order (never first-come) so the
-        // totals are bit-identical at any thread count upstream.
-        let mut per_participant_energy = Vec::with_capacity(costs.len());
-        let mut active_energy_j = 0.0;
-        for (i, cost) in costs.iter().enumerate() {
-            // A free-rider burned no compute: it pays the uplink/downlink
-            // energy only (Eq. 3 without the Eq. 2 compute term).
-            let base = if self.config.adversary.is_some()
-                && self.scratch.roles[i] == AdversaryRole::FreeRider
-            {
-                cost.comm_energy_j
-            } else {
-                cost.total_energy_j()
+                None if t > deadline => (Fate::Cut((deadline / t).clamp(0.0, 1.0)), deadline),
+                None => (Fate::Survived, t),
             };
-            let e = base * energy_shares[i];
-            active_energy_j += e;
-            per_participant_energy.push(e);
+            completion[i] = spent_s;
+            fates.push(fate);
         }
+        fates
+    }
 
-        // Byte accounting: everyone who actually transmitted pays the
-        // encoded uplink — survivors, partial stragglers, deadline-cut
-        // stragglers (the device uploads; the *server* discards the late
-        // update — the same "energy burned, update dropped" semantics the
-        // straggler reward penalty documents), and uploads the fabric
-        // lost after transmission. Only mid-round dropouts never finished
-        // sending (`is_dropout` without `net_lost`). Every participant
-        // received the full model on the downlink at dispatch.
-        let net = encoded_bytes.map(|bytes| {
-            let transmitted = (0..participants.len())
-                .filter(|&i| !is_dropout[i] || net_lost[i])
-                .count() as u64;
-            RoundNetStats {
-                bytes_uplinked: transmitted * bytes,
-                bytes_downlinked: participants.len() as u64
-                    * self.config.workload.reference_model_bytes(),
-                net_drops,
-                partitioned,
-            }
-        });
+    /// The fabric's byte accounting. Everyone who transmitted pays the
+    /// encoded uplink — deadline-cut stragglers too (the server discards
+    /// the late update) and uploads lost after transmission; only
+    /// mid-round dropouts never finished sending. Every participant
+    /// received the full model on the downlink.
+    fn net_stats(&self, encoded_bytes: u64, fates: &[Fate], partitioned: usize) -> RoundNetStats {
+        let sent = fates.iter().filter(|f| !matches!(f, Fate::DroppedOut(_)));
+        RoundNetStats {
+            bytes_uplinked: sent.count() as u64 * encoded_bytes,
+            bytes_downlinked: fates.len() as u64 * self.config.workload.reference_model_bytes(),
+            net_drops: fates.iter().filter(|f| **f == Fate::Lost).count(),
+            partitioned,
+        }
+    }
 
-        // Adversary accounting for the round record: how many selected
-        // participants misbehave, and how many of their surviving updates
-        // the server neutralises (free-riders' zero-work updates always;
-        // poisoned/scaled updates only under a robust aggregator).
-        let (adversarial, flagged) = if self.config.adversary.is_some() {
-            let adversarial = self
-                .scratch
-                .roles
-                .iter()
-                .filter(|r| r.is_adversarial())
-                .count();
-            let robust = self.config.algorithm.poison_robustness() > 0.0;
-            let flagged = (0..participants.len())
-                .filter(|&i| fractions[i] > 0.0)
-                .filter(|&i| match self.scratch.roles[i] {
+    /// The adversary counters of the round record, `None` without an
+    /// adversary: how many participants misbehave, and how many of their
+    /// surviving updates the server neutralises — free-riders' zero-work
+    /// updates always, poisoned or scaled ones under a robust aggregator.
+    fn adversary_counts(
+        &self,
+        roles: &[AdversaryRole],
+        fates: &[Fate],
+    ) -> (Option<usize>, Option<usize>) {
+        if self.config.adversary.is_none() {
+            return (None, None);
+        }
+        let robust = self.config.algorithm.poison_robustness() > 0.0;
+        let neutralised = |(role, fate): &(&AdversaryRole, &Fate)| {
+            fate.update_fraction() > 0.0
+                && match role {
                     AdversaryRole::FreeRider => true,
                     AdversaryRole::Poisoner | AdversaryRole::Scaler => robust,
                     _ => false,
-                })
-                .count();
-            (Some(adversarial), Some(flagged))
-        } else {
-            (None, None)
+                }
         };
-
-        let outcome = DispatchOutcome {
-            ineligible: ineligible + partitioned,
-            prev_accuracy,
-            participants,
-            plans,
-            completion,
-            fractions,
-            per_participant_energy,
-            dropped,
-            dropouts,
-            round_time_s,
-            active_energy_j,
-            net,
-            codec_fidelity,
-            adversarial,
-            flagged,
-        };
-        (outcome, shadow_decision)
+        let adversarial = roles.iter().filter(|r| r.is_adversarial()).count();
+        let flagged = roles.iter().zip(fates).filter(neutralised).count();
+        (Some(adversarial), Some(flagged))
     }
 
     /// Idle energy of every non-participant over a round of
@@ -1476,9 +1354,7 @@ impl Simulation {
     /// this, continuing the run reproduces the uninterrupted run bit for
     /// bit (pinned in `tests/checkpoint.rs`).
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
+        use serde::field;
         self.clock_s = field(value, "clock_s")?;
         let rng_words: Vec<u64> = field(value, "rng")?;
         let rng_state: [u64; 4] = rng_words
@@ -1525,19 +1401,63 @@ fn round_stream_seed(seed: u64, round: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Median via a caller-provided sort buffer (no per-call allocation).
-fn median_into(scratch: &mut Vec<f64>, values: &[f64]) -> f64 {
+/// The round's check-in pool: the lifecycle store's availability (or the
+/// static all-ideal fleet) intersected with any active network partition
+/// — devices inside an active rule cannot reach the server, so they fail
+/// check-in too. Returns the view and how many devices only the partition
+/// excluded. Rounds without an active rule (and runs without a fabric)
+/// build no mask and allocate nothing.
+fn reachable_pool<'a>(
+    config: &SimConfig,
+    devices: usize,
+    store: Option<&'a FleetStore>,
+    scratch: &'a mut RoundScratch,
+    round: usize,
+) -> (AvailabilityView<'a>, usize) {
+    let base = match store {
+        Some(store) => AvailabilityView::Dynamic(store),
+        None => AvailabilityView::Ideal { devices },
+    };
+    let partitions = config.network.as_ref().map(|f| &f.partitions);
+    let Some(partitions) = partitions.filter(|p| p.is_active(round)) else {
+        return (base, 0);
+    };
+    let (reachable, bins) = (&mut scratch.reachable, &mut scratch.masked_bins);
+    reachable.clear();
+    reachable.resize(devices, false);
+    bins.clear();
+    bins.extend(base.bins());
+    let mut count = 0;
+    for bin in bins.iter_mut() {
+        let ids = bin.offset..bin.offset + bin.len;
+        bin.eligible = 0;
+        for (id, ok) in ids.clone().zip(&mut reachable[ids]) {
+            *ok = base.is_eligible(id) && !partitions.unreachable(round, id);
+            bin.eligible += *ok as usize;
+        }
+        count += bin.eligible;
+    }
+    let view = AvailabilityView::Masked {
+        eligible: reachable,
+        bins,
+        count,
+        store,
+    };
+    (view, base.eligible_count() - count)
+}
+
+/// Median of `values` (0 for none).
+fn median(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    scratch.clear();
-    scratch.extend_from_slice(values);
-    scratch.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-    let mid = scratch.len() / 2;
-    if scratch.len() % 2 == 1 {
-        scratch[mid]
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
     } else {
-        (scratch[mid - 1] + scratch[mid]) / 2.0
+        (sorted[mid - 1] + sorted[mid]) / 2.0
     }
 }
 
@@ -1905,6 +1825,59 @@ mod tests {
                 sim.store_bytes(),
                 lifecycle,
                 "only the lifecycle store may scale with the fleet"
+            );
+        }
+    }
+
+    #[test]
+    fn in_flight_dispatch_outcome_keeps_its_wire_shape() {
+        // Checkpoints hold in-flight cohorts as serialized
+        // `DispatchOutcome`s, so these keys, in this order, are the
+        // contract that lets an older checkpoint resume.
+        let mut cfg = SimConfig::smoke(23);
+        cfg.fleet = Some(crate::fleet::FleetDynamics::realistic());
+        cfg.network = Some(NetworkFabric::new(crate::fabric::LinkModel::calm()));
+        cfg.adversary = Some(AdversaryConfig::mixed(0.2));
+        cfg.runtime = Some(crate::runtime::AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+        let mut sim = Simulation::new(cfg);
+        let mut run = crate::runtime::EventDrivenRun::new(&sim);
+        let mut selector = RandomSelector::new();
+        for _ in 0..3 {
+            run.step(&mut sim, &mut selector, &mut []).unwrap();
+        }
+        let snapshot = run.state_snapshot();
+        let Some(serde::Value::Seq(in_flight)) = snapshot.get("in_flight") else {
+            panic!("the snapshot lists its in-flight cohorts");
+        };
+        assert!(
+            !in_flight.is_empty(),
+            "two concurrent cohorts: one in flight"
+        );
+        for cohort in in_flight {
+            let outcome = cohort.get("state").and_then(|s| s.get("outcome"));
+            let Some(serde::Value::Map(fields)) = outcome else {
+                panic!("an in-flight cohort holds its outcome");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "ineligible",
+                    "prev_accuracy",
+                    "participants",
+                    "plans",
+                    "completion",
+                    "fractions",
+                    "per_participant_energy",
+                    "dropped",
+                    "dropouts",
+                    "round_time_s",
+                    "active_energy_j",
+                    "net",
+                    "codec_fidelity",
+                    "adversarial",
+                    "flagged",
+                ]
             );
         }
     }

@@ -464,11 +464,8 @@ impl FleetStore {
     /// store freshly built from the same config (same fleet size and
     /// shard count).
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let len: usize =
-            Deserialize::from_value(serde::field_or_null(value, "len")).map_err(|e| e.at("len"))?;
-        let shards: Vec<FleetShard> =
-            Deserialize::from_value(serde::field_or_null(value, "shards"))
-                .map_err(|e| e.at("shards"))?;
+        let len: usize = serde::field(value, "len")?;
+        let shards: Vec<FleetShard> = serde::field(value, "shards")?;
         if len != self.len || shards.len() != self.shards.len() {
             return Err(serde::Error::custom(format!(
                 "fleet geometry mismatch: store is {} devices / {} shards, checkpoint holds {} / {}",

@@ -439,9 +439,7 @@ impl EventDrivenRun {
     /// [`EventDrivenRun::state_snapshot`] onto a fresh
     /// [`EventDrivenRun::new`] for the same config.
     pub(crate) fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
+        use serde::field;
         self.seq = field(value, "seq")?;
         self.version = field(value, "version")?;
         let events: Vec<Event> = field(value, "events")?;

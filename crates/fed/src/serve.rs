@@ -570,8 +570,7 @@ impl<'p> ExperimentRun<'p> {
     /// Restores a payload captured by [`ExperimentRun::state_snapshot`]
     /// onto a freshly built run of the same spec.
     fn state_restore(&mut self, payload: &serde::Value) -> Result<(), serde::Error> {
-        let policy = String::from_value(serde::field_or_null(payload, "policy"))
-            .map_err(|e| e.at("policy"))?;
+        let policy = serde::field::<String>(payload, "policy")?;
         if policy != self.policy_name {
             return Err(serde::Error::custom(format!(
                 "checkpoint belongs to policy `{policy}`, not `{}`",
@@ -597,9 +596,7 @@ impl<'p> ExperimentRun<'p> {
         self.selector
             .state_restore(serde::field_or_null(payload, "selector"))
             .map_err(|e| e.at("selector"))?;
-        let controller =
-            Option::<ControllerState>::from_value(serde::field_or_null(payload, "controller"))
-                .map_err(|e| e.at("controller"))?;
+        let controller = serde::field::<Option<ControllerState>>(payload, "controller")?;
         match (&self.controlled, controller) {
             (Some(c), Some(state)) => {
                 c.restore_controller_state(state);

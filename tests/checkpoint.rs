@@ -8,12 +8,16 @@
 //! buffered async runtime and the network fabric.
 
 use autofl_core::policy::standard_registry;
+use autofl_device::scenario::VarianceScenario;
+use autofl_fed::adversary::AdversaryConfig;
+use autofl_fed::algorithms::AggregationAlgorithm;
 use autofl_fed::engine::{RoundRecord, SimConfig};
-use autofl_fed::fabric::{LinkModel, NetworkFabric};
-use autofl_fed::fleet::FleetDynamics;
+use autofl_fed::fabric::{CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule};
+use autofl_fed::fleet::{FleetDynamics, StragglerPolicy};
 use autofl_fed::policy::{Policy, RandomPolicy};
 use autofl_fed::runtime::AsyncRuntime;
 use autofl_fed::serve::{read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun};
+use autofl_fed::spec::ExperimentSpec;
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
 /// previous value afterwards (same idiom as tests/determinism.rs: thread
@@ -211,5 +215,144 @@ fn buffered_concurrent_trajectory_is_pinned() {
             "a7b207999971ab0a",
             "shards={shards}"
         );
+    }
+}
+
+/// A config with every subsystem on: realistic fleet dynamics under
+/// `straggler`, a lossy fabric with a TopKInt8 codec, periodic full sync
+/// and a partition rule, and poisoners, scalers, free-riders and faulty
+/// sensors — so a round sees every participant fate.
+fn every_subsystem_config(
+    algorithm: AggregationAlgorithm,
+    straggler: StragglerPolicy,
+    shards: usize,
+) -> SimConfig {
+    let mut config = SimConfig::smoke(61);
+    config.shards = shards;
+    config.algorithm = algorithm;
+    config.scenario = VarianceScenario::with_interference();
+    config.straggler_deadline_factor = 1.3;
+    config.fleet = Some(FleetDynamics::realistic().straggler(straggler));
+    config.network = Some(
+        NetworkFabric::new(LinkModel::realistic())
+            .with_codec(CodecSpec::TopKInt8 { k_frac: 0.1 })
+            .with_full_sync(4)
+            .with_partitions(PartitionSchedule::single(PartitionRule {
+                from_round: 3,
+                until_round: 7,
+                device_begin: 0,
+                device_end: 10,
+            })),
+    );
+    config.adversary = Some(AdversaryConfig {
+        poisoner_fraction: 0.1,
+        scaler_fraction: 0.05,
+        free_rider_fraction: 0.15,
+        faulty_sensor_fraction: 0.15,
+        scale_factor: 4.0,
+    });
+    config.max_rounds = 14;
+    config.target_accuracy = Some(1.1);
+    config
+}
+
+#[test]
+fn every_subsystem_trajectory_is_pinned() {
+    // No golden trace turns on dynamics, a lossy fabric, free-riders or
+    // faulty sensors, and the thread × shard matrices only compare runs
+    // against each other. These digests pin the absolute bits of every
+    // participant fate, so a refactor of the round engine that changes
+    // them consistently still fails here. The digests were recorded
+    // before the round engine was split into named phases.
+    let registry = standard_registry();
+    let legs = [
+        (
+            AggregationAlgorithm::FedAvg,
+            StragglerPolicy::OverSelect { extra: 3 },
+            ["337f682de196d142", "d3be0542e82ca061", "56602bf7b264cffd"],
+        ),
+        (
+            AggregationAlgorithm::FedNova,
+            StragglerPolicy::WaitBounded { grace: 1.2 },
+            ["fa155abdb9052e9f", "9062603f51ef4477", "4010ad29e22be5b9"],
+        ),
+    ];
+    let (mut dropouts, mut net_drops, mut cut, mut partial, mut flagged) = (0, 0, 0, 0, 0);
+    for (algorithm, straggler, digests) in legs {
+        for (name, digest) in ["FedAvg-Random", "AutoFL", "O_FL"].into_iter().zip(digests) {
+            for shards in [1, 4] {
+                let config = every_subsystem_config(algorithm, straggler, shards);
+                let records = stepped(&config, registry.expect(name), None);
+                assert_eq!(
+                    trace_digest(&records),
+                    digest,
+                    "{algorithm:?} {name} shards={shards}"
+                );
+                for r in &records {
+                    dropouts += r.dropouts.len() - r.net.map_or(0, |n| n.net_drops);
+                    net_drops += r.net.map_or(0, |n| n.net_drops);
+                    cut += r.dropped.len();
+                    partial += r
+                        .update_fractions
+                        .iter()
+                        .filter(|&&f| f > 0.0 && f < 1.0)
+                        .count();
+                    flagged += r.flagged.unwrap_or(0);
+                }
+            }
+        }
+    }
+    for (fate, seen) in [
+        ("mid-round dropout", dropouts),
+        ("net loss", net_drops),
+        ("deadline cut", cut),
+        ("partial update", partial),
+        ("flagged update", flagged),
+    ] {
+        assert!(seen > 0, "no {fate} in any pinned run");
+    }
+}
+
+/// The spec behind `tests/specs/full_smoke.json`: every subsystem on,
+/// with two concurrent cohorts under buffered aggregation, so a
+/// checkpoint taken after any round holds a cohort in flight.
+fn full_smoke_spec() -> ExperimentSpec {
+    let mut config = every_subsystem_config(
+        AggregationAlgorithm::FedAvg,
+        StragglerPolicy::OverSelect { extra: 3 },
+        1,
+    );
+    config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+    ExperimentSpec::new("full-smoke", config, ["FedAvg-Random", "AutoFL"], 1)
+}
+
+#[test]
+fn checked_in_full_spec_matches_its_generator() {
+    let path = "tests/specs/full_smoke.json";
+    let spec = full_smoke_spec();
+    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
+        std::fs::write(path, spec.to_json() + "\n").expect("write spec file");
+        return;
+    }
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{path}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
+    let parsed = ExperimentSpec::from_json(&text).expect(path);
+    assert_eq!(parsed, spec, "{path} drifted from its generator");
+    assert_eq!(text.trim_end(), spec.to_json(), "{path} is not canonical");
+}
+
+#[test]
+fn full_spec_resumes_with_a_cohort_in_flight() {
+    let spec = full_smoke_spec();
+    let registry = standard_registry();
+    for name in &spec.policies {
+        for stop_after in [3, 8] {
+            let (reference, resumed) =
+                interrupted_vs_straight(&spec.config, registry.expect(name), None, stop_after);
+            assert_eq!(
+                reference, resumed,
+                "{name}: trace diverged at stop={stop_after}"
+            );
+        }
     }
 }
