@@ -16,7 +16,7 @@
 
 use crate::adversary::{AdversaryConfig, AdversaryRole};
 use crate::algorithms::{AggregationAlgorithm, ClientUpdate};
-use crate::fabric::UpdateCodec;
+use crate::fabric::NetworkFabric;
 use autofl_data::FlData;
 use autofl_device::fleet::DeviceId;
 use autofl_nn::optim::Sgd;
@@ -298,10 +298,10 @@ pub struct RealTrainingEngine {
     /// results at any value — see
     /// [`AggregationAlgorithm::aggregate_sharded`]).
     shards: usize,
-    /// Network-fabric update codec: each client delta goes through the
-    /// real encode→decode round trip before aggregation. `None` without
-    /// a fabric.
-    codec: Option<Box<dyn UpdateCodec>>,
+    /// Network fabric whose update codec (with its periodic full sync)
+    /// each client delta goes through — the real encode→decode round trip
+    /// — before aggregation. `None` without a fabric.
+    network: Option<NetworkFabric>,
     /// Adversarial fleet roles: poisoners actually train on flipped
     /// labels, scalers multiply their real deltas, free-riders return
     /// zero-work updates without training. `None` — the default — takes
@@ -322,8 +322,8 @@ impl std::fmt::Debug for RealTrainingEngine {
 impl RealTrainingEngine {
     /// Creates the engine around a federated dataset. `shards` sets the
     /// hierarchical-aggregation tree width (1 = flat; results are
-    /// bit-identical at any value). `codec` — when a network fabric is
-    /// attached — runs every client delta through the real encode→decode
+    /// bit-identical at any value). `network` — when a fabric is attached
+    /// — runs every client delta through its codec's real encode→decode
     /// round trip before aggregation.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
@@ -334,7 +334,7 @@ impl RealTrainingEngine {
         eval_samples: usize,
         seed: u64,
         shards: usize,
-        codec: Option<Box<dyn UpdateCodec>>,
+        network: Option<NetworkFabric>,
         adversary: Option<AdversaryConfig>,
     ) -> Self {
         let mut model = workload.build_trainable(seed);
@@ -351,7 +351,7 @@ impl RealTrainingEngine {
             prev_global_grad: Vec::new(),
             rounds_applied: 0,
             shards: shards.max(1),
-            codec,
+            network,
             adversary,
         };
         engine.acc = engine.evaluate();
@@ -529,12 +529,12 @@ impl AccuracyEngine for RealTrainingEngine {
         // estimate sees the transported bits too). Per-device tagged
         // streams (`TAG_CODEC`), sequential in participant order —
         // bit-identical at any thread or shard count.
-        if let Some(codec) = &self.codec {
+        if let Some(fabric) = &self.network {
             for (i, update) in maybe_updates.iter_mut().enumerate() {
                 if let Some(u) = update {
                     let mut rng =
                         crate::fabric::codec_stream(self.seed, agg_step, stats.participants[i].0);
-                    codec.transcode(&mut u.delta, agg_step, &mut rng);
+                    fabric.transcode(&mut u.delta, agg_step, &mut rng);
                 }
             }
         }

@@ -142,6 +142,14 @@ pub enum ConfigError {
     /// A trimmed-mean trim fraction outside `[0, 0.5)` (each end must
     /// keep a strict majority of values).
     BadTrimFraction(f64),
+    /// `num_devices × samples_per_device` (the federated dataset) or
+    /// `num_devices × 100` (the tier-mix percentages) overflows `usize`.
+    SizeOverflow {
+        /// Fleet size `N`.
+        devices: usize,
+        /// Training samples per device.
+        samples_per_device: usize,
+    },
     /// A flat-only aggregation rule (no exact per-shard combine exists —
     /// [`AggregationAlgorithm::exact_sharded`]) paired with `shards > 1`.
     FlatOnlyAggregator {
@@ -271,6 +279,14 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "trimmed-mean trim fraction must lie in [0, 0.5), got {v}"
             ),
+            ConfigError::SizeOverflow {
+                devices,
+                samples_per_device,
+            } => write!(
+                f,
+                "num_devices = {devices} is too large: num_devices × samples_per_device \
+                 ({samples_per_device}) or num_devices × 100 overflows"
+            ),
             ConfigError::FlatOnlyAggregator { algorithm, shards } => write!(
                 f,
                 "{algorithm} is flat-only (no exact per-shard combine \
@@ -305,6 +321,15 @@ impl SimConfig {
         }
         if self.samples_per_device == 0 {
             return Err(ConfigError::NoSamples);
+        }
+        // Set-up multiplies the fleet size by the per-device sample count
+        // and by the tier-mix percentages; both products must fit.
+        let dataset = self.num_devices.checked_mul(self.samples_per_device);
+        if dataset.and(self.num_devices.checked_mul(100)).is_none() {
+            return Err(ConfigError::SizeOverflow {
+                devices: self.num_devices,
+                samples_per_device: self.samples_per_device,
+            });
         }
         if self.test_samples == 0 {
             return Err(ConfigError::NoTestSamples);
@@ -856,6 +881,43 @@ mod tests {
                     c
                 },
                 ConfigError::NoSamples,
+            ),
+            (
+                {
+                    let mut c = base.clone();
+                    c.num_devices = usize::MAX;
+                    c
+                },
+                ConfigError::SizeOverflow {
+                    devices: usize::MAX,
+                    samples_per_device: base.samples_per_device,
+                },
+            ),
+            (
+                // Only the tier-mix product overflows.
+                {
+                    let mut c = base.clone();
+                    c.num_devices = usize::MAX / 100 + 1;
+                    c.samples_per_device = 1;
+                    c
+                },
+                ConfigError::SizeOverflow {
+                    devices: usize::MAX / 100 + 1,
+                    samples_per_device: 1,
+                },
+            ),
+            (
+                // Only the dataset product overflows.
+                {
+                    let mut c = base.clone();
+                    c.num_devices = usize::MAX / 100;
+                    c.samples_per_device = 101;
+                    c
+                },
+                ConfigError::SizeOverflow {
+                    devices: usize::MAX / 100,
+                    samples_per_device: 101,
+                },
             ),
             (
                 {

@@ -709,7 +709,7 @@ impl Simulation {
                 eval_samples,
                 config.seed,
                 config.shards,
-                config.network.as_ref().map(|f| f.build_codec()),
+                config.network.clone(),
                 config.adversary,
             )),
         };
@@ -880,9 +880,14 @@ impl Simulation {
         // The uplink carries the *encoded* update, so the communication
         // path (Eq. 3) prices the exact encoded byte count and compression
         // savings flow into PPW.
-        let codec = self.config.network.as_ref().map(|f| f.build_codec());
         let model_params = (self.config.workload.reference_model_bytes() / 4) as usize;
-        let encoded_bytes = codec.as_ref().map(|c| c.encoded_bytes(model_params, round));
+        let (encoded_bytes, codec_fidelity) = match &self.config.network {
+            Some(f) => (
+                Some(f.encoded_bytes(model_params, round)),
+                f.fidelity(round),
+            ),
+            None => (None, 1.0),
+        };
         let (cohort, partitioned, shadow_decision) =
             self.select(selector, shadow, round, prev_accuracy, encoded_bytes);
         let (costs, mut completion, lost) = self.execute(round, &cohort);
@@ -909,7 +914,7 @@ impl Simulation {
             // Summed in participant order (never first-come), so the
             // total is bit-identical at any thread count upstream.
             active_energy_j: per_participant_energy.iter().fold(0.0, |sum, e| sum + e),
-            codec_fidelity: codec.as_ref().map_or(1.0, |c| c.fidelity(round)),
+            codec_fidelity,
             participants: cohort.participants,
             plans: cohort.plans,
             completion,

@@ -193,12 +193,22 @@ impl PartitionSchedule {
     }
 }
 
-/// The serializable codec selection of a [`NetworkFabric`].
+/// A communication-efficient update codec: the serializable selection a
+/// [`NetworkFabric`] carries, and the codec itself.
 ///
-/// This flat enum is the spec-file surface; [`NetworkFabric::build_codec`]
-/// lowers it (plus [`NetworkFabric::full_sync_every`]) into the
-/// [`UpdateCodec`] object the engine drives, including the
-/// [`PeriodicFullSync`] composition.
+/// Three views of one codec, kept consistent by the proptests in
+/// `tests/network_fabric.rs`:
+///
+/// * [`CodecSpec::encoded_bytes`] — the *exact* uplink payload size,
+///   wired into the Eq. 3 communication time/energy path;
+/// * [`CodecSpec::transcode`] — the real encode→decode round trip
+///   applied to model deltas under `Fidelity::RealTraining`;
+/// * [`CodecSpec::fidelity`] — the surrogate's calibrated update-quality
+///   multiplier (1.0 = lossless), applied to survivor update fractions
+///   before aggregation under `Fidelity::Surrogate`.
+///
+/// [`NetworkFabric`]'s methods of the same names apply its periodic full
+/// sync on top.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CodecSpec {
     /// No compression: full float32 deltas.
@@ -232,6 +242,48 @@ impl CodecSpec {
             CodecSpec::TopKInt8 { k_frac } => format!("topk8({k_frac})"),
         }
     }
+
+    /// Uplink bytes of one encoded update with `params` coordinates.
+    pub fn encoded_bytes(&self, params: usize) -> u64 {
+        match *self {
+            CodecSpec::Identity => 4 * params as u64,
+            CodecSpec::TopK { k_frac } => 8 * top_k_count(k_frac, params) as u64,
+            CodecSpec::Int8Quant => params as u64 + 4,
+            CodecSpec::TopKInt8 { k_frac } => 5 * top_k_count(k_frac, params) as u64 + 4,
+        }
+    }
+
+    /// The surrogate update-quality multiplier in `(0, 1]`. Exactly `1.0`
+    /// for the identity codec, so the multiplication passes fractions
+    /// through bit-unchanged.
+    pub fn fidelity(&self) -> f64 {
+        // Top-k is calibrated so TopK(10%) costs ~1pp of plateau accuracy
+        // on the surrogate — consistent with the near-baseline accuracy
+        // top-k sparsification reaches in practice at these densities.
+        // Stochastic rounding is unbiased; the surrogate charges int8
+        // only the added quantization variance.
+        match *self {
+            CodecSpec::Identity => 1.0,
+            CodecSpec::TopK { k_frac } => k_frac.clamp(0.0, 1.0).powf(0.08),
+            CodecSpec::Int8Quant => 0.99,
+            CodecSpec::TopKInt8 { k_frac } => 0.99 * k_frac.clamp(0.0, 1.0).powf(0.08),
+        }
+    }
+
+    /// Applies the encode→decode round trip to `delta` in place. `rng` is
+    /// the device's tagged `TAG_CODEC` stream; only the int8 codecs draw
+    /// from it.
+    pub fn transcode(&self, delta: &mut [f32], rng: &mut SmallRng) {
+        match *self {
+            CodecSpec::Identity => {}
+            CodecSpec::TopK { k_frac } => sparsify_top_k(delta, top_k_count(k_frac, delta.len())),
+            CodecSpec::Int8Quant => int8_round_trip(delta, rng),
+            CodecSpec::TopKInt8 { k_frac } => {
+                sparsify_top_k(delta, top_k_count(k_frac, delta.len()));
+                int8_round_trip(delta, rng);
+            }
+        }
+    }
 }
 
 /// The full network-fabric configuration: link model, update codec (with
@@ -243,8 +295,9 @@ pub struct NetworkFabric {
     /// Update compression applied to every uplink.
     pub codec: CodecSpec,
     /// Every `n`-th round (round index divisible by `n`) uploads the
-    /// uncompressed update — the periodic full-sync composition that
-    /// bounds compression drift. `None` compresses every round.
+    /// uncompressed update — periodic full sync, which bounds compression
+    /// drift the way periodic synchronization does in
+    /// communication-efficient FL systems. `None` compresses every round.
     pub full_sync_every: Option<usize>,
     /// Scripted partitions isolating sub-fleets for round spans.
     pub partitions: PartitionSchedule,
@@ -286,23 +339,32 @@ impl NetworkFabric {
         self
     }
 
-    /// Lowers the serialized codec selection into the [`UpdateCodec`]
-    /// object the engine drives, wrapping it in [`PeriodicFullSync`] when
-    /// `full_sync_every` is set.
-    pub fn build_codec(&self) -> Box<dyn UpdateCodec> {
-        let inner: Box<dyn UpdateCodec> = match self.codec {
-            CodecSpec::Identity => Box::new(IdentityCodec),
-            CodecSpec::TopK { k_frac } => Box::new(TopK { k_frac }),
-            CodecSpec::Int8Quant => Box::new(Int8Quant),
-            CodecSpec::TopKInt8 { k_frac } => Box::new(TopKInt8 { k_frac }),
-        };
+    /// The codec in force in `round`: [`CodecSpec::Identity`] on a
+    /// periodic full-sync round (round index divisible by
+    /// `full_sync_every`), the configured codec otherwise.
+    fn codec_at(&self, round: usize) -> CodecSpec {
         match self.full_sync_every {
-            Some(every) => Box::new(PeriodicFullSync {
-                every: every.max(1),
-                inner,
-            }),
-            None => inner,
+            Some(every) if round % every.max(1) == 0 => CodecSpec::Identity,
+            _ => self.codec,
         }
+    }
+
+    /// [`CodecSpec::encoded_bytes`] of the codec in force in `round`:
+    /// full-precision bytes on a full-sync round.
+    pub fn encoded_bytes(&self, params: usize, round: usize) -> u64 {
+        self.codec_at(round).encoded_bytes(params)
+    }
+
+    /// [`CodecSpec::fidelity`] of the codec in force in `round`: exactly
+    /// `1.0` on a full-sync round.
+    pub fn fidelity(&self, round: usize) -> f64 {
+        self.codec_at(round).fidelity()
+    }
+
+    /// [`CodecSpec::transcode`] with the codec in force in `round`: a
+    /// full-sync round leaves `delta` untouched and draws nothing.
+    pub fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng) {
+        self.codec_at(round).transcode(delta, rng);
     }
 }
 
@@ -316,62 +378,6 @@ pub(crate) fn net_stream(seed: u64, round: usize, id: usize) -> SmallRng {
 /// round (`TAG_CODEC`).
 pub(crate) fn codec_stream(seed: u64, round: usize, id: usize) -> SmallRng {
     SmallRng::seed_from_u64(device_stream_seed(seed, TAG_CODEC, round as u64, id))
-}
-
-/// A communication-efficient update transform.
-///
-/// Three views of one codec, kept consistent by the proptests in
-/// `tests/network_fabric.rs`:
-///
-/// * [`UpdateCodec::encoded_bytes`] — the *exact* uplink payload size,
-///   wired into the Eq. 3 communication time/energy path;
-/// * [`UpdateCodec::transcode`] — the real encode→decode round trip
-///   applied to model deltas under `Fidelity::RealTraining`;
-/// * [`UpdateCodec::fidelity`] — the surrogate's calibrated
-///   update-quality multiplier (1.0 = lossless), applied to survivor
-///   update fractions before aggregation under `Fidelity::Surrogate`.
-pub trait UpdateCodec: Send + Sync {
-    /// Codec name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Uplink bytes of one encoded update with `params` coordinates in
-    /// round `round`.
-    fn encoded_bytes(&self, params: usize, round: usize) -> u64;
-
-    /// The surrogate update-quality multiplier in `(0, 1]` for round
-    /// `round`. Exactly `1.0` for lossless rounds, so the multiplication
-    /// passes fractions through bit-unchanged.
-    fn fidelity(&self, round: usize) -> f64;
-
-    /// Applies the encode→decode round trip to `delta` in place.
-    /// `rng` is the device's tagged `TAG_CODEC` stream.
-    fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng);
-}
-
-impl std::fmt::Debug for dyn UpdateCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "UpdateCodec({})", self.name())
-    }
-}
-
-/// The no-compression codec: 4 bytes per coordinate, lossless.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityCodec;
-
-impl UpdateCodec for IdentityCodec {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        4 * params as u64
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        1.0
-    }
-
-    fn transcode(&self, _delta: &mut [f32], _round: usize, _rng: &mut SmallRng) {}
 }
 
 /// Number of coordinates a top-k codec keeps: `round(k_frac × params)`,
@@ -439,134 +445,6 @@ fn int8_round_trip(delta: &mut [f32], rng: &mut SmallRng) {
     }
 }
 
-/// Top-k sparsification: keep the `k_frac` largest-magnitude
-/// coordinates. 8 bytes per survivor (u32 index + f32 value).
-#[derive(Debug, Clone, Copy)]
-pub struct TopK {
-    /// Fraction of coordinates kept, in `(0, 1]`.
-    pub k_frac: f64,
-}
-
-impl UpdateCodec for TopK {
-    fn name(&self) -> &'static str {
-        "top-k"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        8 * top_k_count(self.k_frac, params) as u64
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        // Calibrated so TopK(10%) costs ~1pp of plateau accuracy on the
-        // surrogate — consistent with the near-baseline accuracy top-k
-        // sparsification reaches in practice at these densities.
-        self.k_frac.clamp(0.0, 1.0).powf(0.08)
-    }
-
-    fn transcode(&self, delta: &mut [f32], _round: usize, _rng: &mut SmallRng) {
-        sparsify_top_k(delta, top_k_count(self.k_frac, delta.len()));
-    }
-}
-
-/// QSGD-style int8 quantization with stochastic rounding. One byte per
-/// coordinate plus a 4-byte scale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Int8Quant;
-
-impl UpdateCodec for Int8Quant {
-    fn name(&self) -> &'static str {
-        "int8"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        params as u64 + 4
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        // Stochastic rounding is unbiased; the surrogate charges only the
-        // added quantization variance.
-        0.99
-    }
-
-    fn transcode(&self, delta: &mut [f32], _round: usize, rng: &mut SmallRng) {
-        int8_round_trip(delta, rng);
-    }
-}
-
-/// Top-k sparsification followed by int8 quantization of the survivors:
-/// 5 bytes per survivor (u32 index + i8 value) plus a 4-byte scale.
-#[derive(Debug, Clone, Copy)]
-pub struct TopKInt8 {
-    /// Fraction of coordinates kept, in `(0, 1]`.
-    pub k_frac: f64,
-}
-
-impl UpdateCodec for TopKInt8 {
-    fn name(&self) -> &'static str {
-        "top-k+int8"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        5 * top_k_count(self.k_frac, params) as u64 + 4
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        0.99 * self.k_frac.clamp(0.0, 1.0).powf(0.08)
-    }
-
-    fn transcode(&self, delta: &mut [f32], _round: usize, rng: &mut SmallRng) {
-        sparsify_top_k(delta, top_k_count(self.k_frac, delta.len()));
-        int8_round_trip(delta, rng);
-    }
-}
-
-/// Periodic full-sync composition: every `every`-th round (round index
-/// divisible by `every`) uploads the full-precision update; other rounds
-/// delegate to `inner`. Bounds compression drift the way periodic
-/// synchronization does in communication-efficient FL systems.
-#[derive(Debug)]
-pub struct PeriodicFullSync {
-    /// Full-sync period in rounds (≥ 1).
-    pub every: usize,
-    /// The codec used on non-sync rounds.
-    pub inner: Box<dyn UpdateCodec>,
-}
-
-impl PeriodicFullSync {
-    /// Whether `round` is a full-precision sync round.
-    pub fn is_sync_round(&self, round: usize) -> bool {
-        round % self.every.max(1) == 0
-    }
-}
-
-impl UpdateCodec for PeriodicFullSync {
-    fn name(&self) -> &'static str {
-        "periodic-full-sync"
-    }
-
-    fn encoded_bytes(&self, params: usize, round: usize) -> u64 {
-        if self.is_sync_round(round) {
-            4 * params as u64
-        } else {
-            self.inner.encoded_bytes(params, round)
-        }
-    }
-
-    fn fidelity(&self, round: usize) -> f64 {
-        if self.is_sync_round(round) {
-            1.0
-        } else {
-            self.inner.fidelity(round)
-        }
-    }
-
-    fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng) {
-        if !self.is_sync_round(round) {
-            self.inner.transcode(delta, round, rng);
-        }
-    }
-}
-
 /// Per-round network accounting carried on
 /// [`crate::engine::RoundRecord::net`] when a fabric is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -596,9 +474,9 @@ mod tests {
 
     #[test]
     fn top_k_keeps_exactly_k_largest_magnitudes() {
-        let codec = TopK { k_frac: 0.4 };
+        let codec = CodecSpec::TopK { k_frac: 0.4 };
         let mut delta = vec![0.1f32, -3.0, 0.2, 2.0, -0.05];
-        codec.transcode(&mut delta, 0, &mut rng(1));
+        codec.transcode(&mut delta, &mut rng(1));
         assert_eq!(delta, vec![0.0, -3.0, 0.0, 2.0, 0.0]);
     }
 
@@ -623,45 +501,51 @@ mod tests {
     #[test]
     fn encoded_bytes_are_exact() {
         let params = 1_000_000;
-        assert_eq!(IdentityCodec.encoded_bytes(params, 3), 4_000_000);
-        assert_eq!(TopK { k_frac: 0.1 }.encoded_bytes(params, 3), 800_000);
-        assert_eq!(Int8Quant.encoded_bytes(params, 3), 1_000_004);
-        assert_eq!(TopKInt8 { k_frac: 0.1 }.encoded_bytes(params, 3), 500_004);
+        assert_eq!(CodecSpec::Identity.encoded_bytes(params), 4_000_000);
+        assert_eq!(
+            CodecSpec::TopK { k_frac: 0.1 }.encoded_bytes(params),
+            800_000
+        );
+        assert_eq!(CodecSpec::Int8Quant.encoded_bytes(params), 1_000_004);
+        assert_eq!(
+            CodecSpec::TopKInt8 { k_frac: 0.1 }.encoded_bytes(params),
+            500_004
+        );
     }
 
     #[test]
     fn top_k_at_ten_percent_is_at_least_five_x() {
         let params = 1_663_370; // CnnMnist reference model / 4 bytes
-        let full = IdentityCodec.encoded_bytes(params, 0) as f64;
-        let topk = TopK { k_frac: 0.1 }.encoded_bytes(params, 0) as f64;
+        let full = CodecSpec::Identity.encoded_bytes(params) as f64;
+        let topk = CodecSpec::TopK { k_frac: 0.1 }.encoded_bytes(params) as f64;
         assert!(full / topk >= 5.0, "reduction {}", full / topk);
     }
 
     #[test]
     fn periodic_full_sync_composes() {
-        let codec = PeriodicFullSync {
-            every: 4,
-            inner: Box::new(TopK { k_frac: 0.25 }),
-        };
-        assert_eq!(codec.encoded_bytes(100, 0), 400);
-        assert_eq!(codec.encoded_bytes(100, 1), 8 * 25);
-        assert_eq!(codec.encoded_bytes(100, 4), 400);
-        assert_eq!(codec.fidelity(0).to_bits(), 1.0f64.to_bits());
-        assert!(codec.fidelity(1) < 1.0);
+        let fabric = NetworkFabric::ideal()
+            .with_codec(CodecSpec::TopK { k_frac: 0.25 })
+            .with_full_sync(4);
+        assert_eq!(fabric.encoded_bytes(100, 0), 400);
+        assert_eq!(fabric.encoded_bytes(100, 1), 8 * 25);
+        assert_eq!(fabric.encoded_bytes(100, 4), 400);
+        assert_eq!(fabric.fidelity(0).to_bits(), 1.0f64.to_bits());
+        assert!(fabric.fidelity(1) < 1.0);
         let mut delta = vec![1.0f32, 0.5, 0.25, 0.125];
-        codec.transcode(&mut delta, 0, &mut rng(1));
+        fabric.transcode(&mut delta, 0, &mut rng(1));
         assert_eq!(delta, vec![1.0, 0.5, 0.25, 0.125], "sync round is lossless");
+        fabric.transcode(&mut delta, 1, &mut rng(1));
+        assert_eq!(delta, vec![1.0, 0.0, 0.0, 0.0], "other rounds compress");
     }
 
     #[test]
     fn fabric_builds_the_composed_codec() {
-        let fabric = NetworkFabric::ideal()
-            .with_codec(CodecSpec::TopK { k_frac: 0.1 })
-            .with_full_sync(10);
-        let codec = fabric.build_codec();
-        assert_eq!(codec.name(), "periodic-full-sync");
-        assert_eq!(codec.encoded_bytes(1000, 0), 4000);
-        assert_eq!(codec.encoded_bytes(1000, 5), 800);
+        let fabric = NetworkFabric::ideal().with_codec(CodecSpec::TopK { k_frac: 0.1 });
+        assert_eq!(fabric.encoded_bytes(1000, 0), 800);
+        assert_eq!(fabric.encoded_bytes(1000, 5), 800);
+        let fabric = fabric.with_full_sync(10);
+        assert_eq!(fabric.encoded_bytes(1000, 0), 4000);
+        assert_eq!(fabric.encoded_bytes(1000, 5), 800);
     }
 
     #[test]
@@ -704,8 +588,8 @@ mod tests {
 
     #[test]
     fn codec_fidelity_is_exactly_one_for_identity() {
-        assert_eq!(IdentityCodec.fidelity(17).to_bits(), 1.0f64.to_bits());
-        let f = TopK { k_frac: 0.1 }.fidelity(0);
+        assert_eq!(CodecSpec::Identity.fidelity().to_bits(), 1.0f64.to_bits());
+        let f = CodecSpec::TopK { k_frac: 0.1 }.fidelity();
         assert!(f > 0.7 && f < 1.0, "fidelity {f}");
     }
 }

@@ -227,7 +227,8 @@ const TAG_DROP: u64 = 0xd109;
 const TAG_SHADOW: u64 = 0x5ad0;
 /// Per-device link draws (latency + message loss) of the network fabric.
 pub(crate) const TAG_NET: u64 = 0x7e70;
-/// Stochastic-rounding streams of the update codecs (`Int8Quant`).
+/// Stochastic-rounding streams of the int8 update codecs
+/// (`CodecSpec::Int8Quant`, `CodecSpec::TopKInt8`).
 pub(crate) const TAG_CODEC: u64 = 0xc0de;
 /// Adversary subsystem streams: role assignment (round key 0) and
 /// per-round misbehaviour draws (round key `round + 1`) — see

@@ -6,8 +6,9 @@
 //! * [`clusters`] — the characterization compositions C0–C7 (Table 4).
 //! * [`algorithms`] — FedAvg plus the comparators FedProx, FedNova, FEDL,
 //!   the Byzantine-robust aggregators (coordinate-wise median, trimmed
-//!   mean, Krum) behind the [`algorithms::Aggregator`] trait, and the
-//!   exact-summation hierarchical aggregation path
+//!   mean, Krum), each a variant of
+//!   [`algorithms::AggregationAlgorithm`], and the exact-summation
+//!   hierarchical aggregation path
 //!   ([`algorithms::AggregationAlgorithm::aggregate_sharded`]).
 //! * [`adversary`] — opt-in adversarial fleet roles (label-flipping
 //!   poisoners, scaled-gradient attackers, free-riders, faulty sensors)
@@ -34,8 +35,9 @@
 //! * [`fabric`] — the opt-in network fabric between dispatch and
 //!   aggregation: per-device link latency/loss on tagged RNG streams,
 //!   scripted [`fabric::PartitionSchedule`]s, and communication-efficient
-//!   [`fabric::UpdateCodec`]s (top-k, int8/QSGD, periodic full-sync) with
-//!   exact byte accounting wired into the Eq. 3 comm-energy path.
+//!   update codecs ([`fabric::CodecSpec`]: top-k, int8/QSGD, with
+//!   periodic full sync) with exact byte accounting wired into the Eq. 3
+//!   comm-energy path.
 //!
 //! The experiment-facing API layers on top:
 //!
@@ -96,16 +98,12 @@ pub mod serve;
 pub mod spec;
 
 pub use adversary::{AdversaryConfig, AdversaryRole};
-pub use algorithms::{
-    AggregationAlgorithm, Aggregator, ExactF32Sum, KrumAggregator, LinearAggregator,
-    MedianAggregator, TrimmedMeanAggregator,
-};
+pub use algorithms::{krum_select, AggregationAlgorithm, ExactF32Sum};
 pub use builder::{ConfigError, SimBuilder};
 pub use clusters::CharacterizationCluster;
 pub use engine::{Fidelity, RoundRecord, SimConfig, SimResult, Simulation};
 pub use fabric::{
-    CodecSpec, IdentityCodec, Int8Quant, LinkModel, NetworkFabric, PartitionRule,
-    PartitionSchedule, PeriodicFullSync, RoundNetStats, TopK, TopKInt8, UpdateCodec,
+    CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule, RoundNetStats,
 };
 pub use fleet::{
     survivor_weights, AvailabilityView, DeviceAvailability, FleetDynamics, FleetState, FleetStore,

@@ -246,6 +246,25 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_fleet_size_is_rejected_on_spec_load() {
+        let json = spec_fixture().to_json();
+        let huge = json.replace(
+            "\"num_devices\": 12",
+            "\"num_devices\": 18446744073709551615",
+        );
+        assert_ne!(huge, json, "fixture JSON must carry num_devices");
+        let err = ExperimentSpec::from_json(&huge).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Config(crate::builder::ConfigError::SizeOverflow { .. })
+            ),
+            "got {err:?}"
+        );
+        assert!(err.to_string().contains("overflows"), "{err}");
+    }
+
+    #[test]
     fn json_roundtrip_is_exact() {
         let spec = spec_fixture();
         let json = spec.to_json();

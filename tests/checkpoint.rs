@@ -11,12 +11,14 @@ use autofl_core::policy::standard_registry;
 use autofl_device::scenario::VarianceScenario;
 use autofl_fed::adversary::AdversaryConfig;
 use autofl_fed::algorithms::AggregationAlgorithm;
-use autofl_fed::engine::{RoundRecord, SimConfig};
+use autofl_fed::engine::{Fidelity, RoundRecord, SimConfig};
 use autofl_fed::fabric::{CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule};
 use autofl_fed::fleet::{FleetDynamics, StragglerPolicy};
 use autofl_fed::policy::{Policy, RandomPolicy};
 use autofl_fed::runtime::AsyncRuntime;
-use autofl_fed::serve::{read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun};
+use autofl_fed::serve::{
+    payload_digest, read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun,
+};
 use autofl_fed::spec::ExperimentSpec;
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
@@ -310,6 +312,119 @@ fn every_subsystem_trajectory_is_pinned() {
         ("flagged update", flagged),
     ] {
         assert!(seen > 0, "no {fate} in any pinned run");
+    }
+}
+
+/// Digest of a finished real-training run: the checkpoint payload after
+/// the last round, which holds the emitted records and the global model's
+/// exact parameters (accuracy alone is too coarse to see a one-ulp
+/// change in aggregation).
+fn real_training_digest(
+    algorithm: AggregationAlgorithm,
+    codec: Option<CodecSpec>,
+    shards: usize,
+) -> String {
+    let mut config = SimConfig::tiny_test(29);
+    config.fidelity = Fidelity::RealTraining {
+        lr: 0.08,
+        eval_samples: 48,
+    };
+    // Small batches give each client many steps, so a straggler's
+    // partial update takes fewer of them than its peers.
+    config.params.batch_size = 2;
+    config.algorithm = algorithm;
+    config.shards = shards;
+    config.scenario = VarianceScenario::with_interference();
+    config.straggler_deadline_factor = 1.3;
+    config.adversary = Some(AdversaryConfig::mixed(0.5));
+    config.network = codec.map(|c| {
+        NetworkFabric::new(LinkModel::ideal())
+            .with_codec(c)
+            .with_full_sync(3)
+    });
+    config.max_rounds = 5;
+    config.target_accuracy = Some(1.1);
+    let mut run = ExperimentRun::new(&config, &RandomPolicy, None).expect("config validates");
+    while run.step().expect("no observers").is_some() {}
+    let records = run.records();
+    assert!(
+        records.iter().any(|r| r.adversarial.unwrap_or(0) > 0),
+        "{algorithm:?}: no adversary ever took part"
+    );
+    // Stragglers' partial updates, with fewer local steps, are what set
+    // FedNova's step normalisation apart from FedAvg.
+    let partial = |r: &RoundRecord| r.update_fractions.iter().any(|&f| f > 0.0 && f < 1.0);
+    assert_eq!(
+        records.iter().any(partial),
+        algorithm.accepts_partial_updates(),
+        "{algorithm:?}: partial updates"
+    );
+    payload_digest(&run.state_snapshot())
+}
+
+#[test]
+fn real_training_rules_and_codecs_are_pinned() {
+    // Every golden and digest above runs the surrogate, and the
+    // real-training tests elsewhere compare runs only with each other.
+    // These digests pin the absolute bits of each aggregation rule and
+    // each codec (with periodic full sync) on real local training, with
+    // label-flipping poisoners and gradient scalers in the cohort. They
+    // were recorded before the rules and codecs moved onto their spec
+    // enums.
+    let rules = [
+        (AggregationAlgorithm::FedAvg, "76a77f58448264d1"),
+        (
+            AggregationAlgorithm::FedProx { mu: 0.01 },
+            "45568593f5660b05",
+        ),
+        (AggregationAlgorithm::FedNova, "e54f5014f572e47e"),
+        (AggregationAlgorithm::Fedl { eta: 0.1 }, "af6f1e177824802b"),
+        (AggregationAlgorithm::Median, "2cc775bfb6118503"),
+        (
+            AggregationAlgorithm::TrimmedMean { trim: 0.3 },
+            "34040ea0f4e741bd",
+        ),
+        (AggregationAlgorithm::Krum, "1429019412e33e51"),
+    ];
+    for (algorithm, digest) in rules {
+        let shard_counts: &[usize] = if algorithm.exact_sharded() {
+            &[1, 4]
+        } else {
+            &[1]
+        };
+        for &shards in shard_counts {
+            assert_eq!(
+                real_training_digest(algorithm, None, shards),
+                digest,
+                "{algorithm:?} shards={shards}"
+            );
+        }
+    }
+    let codecs = [
+        CodecSpec::TopK { k_frac: 0.25 },
+        CodecSpec::Int8Quant,
+        CodecSpec::TopKInt8 { k_frac: 0.1 },
+    ];
+    let coded = [
+        (
+            AggregationAlgorithm::FedAvg,
+            ["5e03c215a85769f1", "e6eea40477757140", "994825916b76c123"],
+        ),
+        (
+            AggregationAlgorithm::Median,
+            ["247ea32277424831", "2bb80cf543583d8e", "7c86b997ac511985"],
+        ),
+    ];
+    for (algorithm, digests) in coded {
+        for (codec, digest) in codecs.into_iter().zip(digests) {
+            for shards in [1, 4] {
+                assert_eq!(
+                    real_training_digest(algorithm, Some(codec), shards),
+                    digest,
+                    "{algorithm:?} {codec:?} shards={shards}"
+                );
+            }
+        }
     }
 }
 

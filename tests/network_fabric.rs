@@ -6,8 +6,7 @@
 use autofl_device::network::{NetworkObservation, SignalStrength, BANDWIDTH_THRESHOLD_MBPS};
 use autofl_fed::engine::{SimConfig, SimResult, Simulation};
 use autofl_fed::fabric::{
-    top_k_count, CodecSpec, IdentityCodec, Int8Quant, LinkModel, NetworkFabric, PartitionRule,
-    PartitionSchedule, PeriodicFullSync, TopK, TopKInt8, UpdateCodec,
+    top_k_count, CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule,
 };
 use autofl_fed::runtime::AsyncRuntime;
 use autofl_fed::selection::{RandomSelector, Selector};
@@ -319,8 +318,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let original = random_delta(&mut rng, len, 2.0);
         let mut coded = original.clone();
-        let codec = TopK { k_frac };
-        codec.transcode(&mut coded, 0, &mut rng);
+        let codec = CodecSpec::TopK { k_frac };
+        codec.transcode(&mut coded, &mut rng);
 
         let k = top_k_count(k_frac, len);
         // Reference: stable sort by (magnitude desc, index asc).
@@ -336,7 +335,7 @@ proptest! {
                 "coordinate {} of {} (k={})", i, len, k
             );
         }
-        prop_assert_eq!(codec.encoded_bytes(len, 0), 8 * k as u64);
+        prop_assert_eq!(codec.encoded_bytes(len), 8 * k as u64);
     }
 
     /// Int8 stochastic quantization reconstructs every coordinate to
@@ -350,7 +349,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let original = random_delta(&mut rng, len, magnitude);
         let mut coded = original.clone();
-        Int8Quant.transcode(&mut coded, 0, &mut rng);
+        CodecSpec::Int8Quant.transcode(&mut coded, &mut rng);
 
         let max_abs = original.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let step = max_abs / 127.0;
@@ -361,12 +360,12 @@ proptest! {
             );
             prop_assert!(c.abs() <= max_abs * 1.0001, "reconstruction escaped the range");
         }
-        prop_assert_eq!(Int8Quant.encoded_bytes(len, 0), len as u64 + 4);
+        prop_assert_eq!(CodecSpec::Int8Quant.encoded_bytes(len), len as u64 + 4);
     }
 
     /// Byte counts are exact closed forms of `params` for every codec,
-    /// and the periodic composition switches between inner and full-size
-    /// payloads on the scripted cadence.
+    /// and a fabric with periodic full sync switches between compressed
+    /// and full-size payloads on the scripted cadence.
     #[test]
     fn encoded_byte_counts_are_exact(
         params in 1usize..5_000,
@@ -374,14 +373,13 @@ proptest! {
         every in 1usize..12,
     ) {
         let k = top_k_count(k_frac, params) as u64;
-        prop_assert_eq!(IdentityCodec.encoded_bytes(params, 0), 4 * params as u64);
-        prop_assert_eq!(TopK { k_frac }.encoded_bytes(params, 0), 8 * k);
-        prop_assert_eq!(Int8Quant.encoded_bytes(params, 0), params as u64 + 4);
-        prop_assert_eq!(TopKInt8 { k_frac }.encoded_bytes(params, 0), 5 * k + 4);
-        let periodic = PeriodicFullSync {
-            every,
-            inner: Box::new(TopK { k_frac }),
-        };
+        prop_assert_eq!(CodecSpec::Identity.encoded_bytes(params), 4 * params as u64);
+        prop_assert_eq!(CodecSpec::TopK { k_frac }.encoded_bytes(params), 8 * k);
+        prop_assert_eq!(CodecSpec::Int8Quant.encoded_bytes(params), params as u64 + 4);
+        prop_assert_eq!(CodecSpec::TopKInt8 { k_frac }.encoded_bytes(params), 5 * k + 4);
+        let periodic = NetworkFabric::ideal()
+            .with_codec(CodecSpec::TopK { k_frac })
+            .with_full_sync(every);
         for round in 0..3 * every {
             let expected = if round % every == 0 { 4 * params as u64 } else { 8 * k };
             prop_assert_eq!(periodic.encoded_bytes(params, round), expected, "round {}", round);
@@ -404,10 +402,10 @@ proptest! {
     ) {
         let mut source = SmallRng::seed_from_u64(seed ^ 0xd15c);
         let original = random_delta(&mut source, len, 1.0);
-        let codec = TopKInt8 { k_frac: 0.5 };
+        let codec = CodecSpec::TopKInt8 { k_frac: 0.5 };
         let run = |stream_seed: u64| {
             let mut delta = original.clone();
-            codec.transcode(&mut delta, 3, &mut SmallRng::seed_from_u64(stream_seed));
+            codec.transcode(&mut delta, &mut SmallRng::seed_from_u64(stream_seed));
             delta
         };
         let a = run(seed);
